@@ -144,31 +144,14 @@ void BM_CausalTracedRuntime(benchmark::State& state) {
 }
 BENCHMARK(BM_CausalTracedRuntime)->Range(64, 512);
 
-// CSR-vs-nested locality head-to-head (BENCH_TOPIC=par): the *same*
-// templated selection code (BasicConnectorEngine) instantiated over the
-// flat CSR view and over the retained vector-of-vectors layout, whose
-// constructor replays the interleaved push_back growth the CSR
-// conversion removed. The delta between the two is pure storage-layout
-// effect — no algorithmic difference (the engines are differential-
-// tested to be trace-identical).
-template <class View>
-std::size_t drain_connector_engine(View view,
-                                   std::span<const graph::NodeId> mis) {
-  core::BasicConnectorEngine<View> engine(view, mis);
-  std::size_t added = 0;
-  while (!engine.done()) {
-    benchmark::DoNotOptimize(engine.select_next());
-    ++added;
-  }
-  return added;
-}
-
+// The connector engine drained directly over a prebuilt phase-1 MIS
+// (BENCH_TOPIC=par), without the step lists greedy_connectors records.
 void BM_GreedyConnectorsCsr(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)));
   const auto phase1 = core::bfs_first_fit_mis(inst.graph, 0);
-  const graph::FrozenGraph fg(inst.graph);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(drain_connector_engine(fg, phase1.mis));
+    core::ConnectorEngine engine(inst.graph, phase1.mis);
+    while (!engine.done()) benchmark::DoNotOptimize(engine.select_next());
   }
   state.SetComplexityN(state.range(0));
 }
@@ -178,27 +161,12 @@ BENCHMARK(BM_GreedyConnectorsCsr)
     ->Arg(16384)
     ->Complexity(benchmark::oNLogN);
 
-void BM_GreedyConnectorsNested(benchmark::State& state) {
-  const auto inst = make_instance(static_cast<std::size_t>(state.range(0)));
-  const auto phase1 = core::bfs_first_fit_mis(inst.graph, 0);
-  const graph::NestedGraph nested(inst.graph);
-  const graph::NestedView view(nested);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(drain_connector_engine(view, phase1.mis));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_GreedyConnectorsNested)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->Arg(16384)
-    ->Complexity(benchmark::oNLogN);
-
-// Parallel UDG construction: grid sweep fanned over the pool (the
-// builder's serial prologue — cell hashing — is part of the measured
-// cost, as in BM_BuildUdg). Worker count is the auto default, so on a
-// multi-core host this shows the build-side speedup and on a single-core
-// host it measures the parallel path's overhead honestly.
+// Parallel UDG construction: the grid kernel's count and fill passes
+// fanned over the pool (the serial prologue — ordering points by cell —
+// is part of the measured cost, as in BM_BuildUdg). Worker count is the
+// auto default, so on a multi-core host this shows the build-side
+// speedup and on a single-core host it measures the parallel path's
+// overhead honestly.
 void BM_BuildUdgParallel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto inst = make_instance(n);

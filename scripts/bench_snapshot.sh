@@ -34,7 +34,7 @@ case "$BENCH_TOPIC" in
   fault)  default_filter="BM_FaultFreeRuntime|BM_FaultInjectedRuntime|BM_ReliableWaf" ;;
   obs)    default_filter="BM_GreedyConnectorsIncremental|BM_GreedyConnectorsObserved|BM_CausalTracedRuntime" ;;
   partition) default_filter="BM_HeartbeatRuntime|BM_PartitionedRuntime" ;;
-  par)    default_filter="BM_BatchSolve|BM_BuildUdgParallel|BM_GreedyConnectorsCsr|BM_GreedyConnectorsNested" ;;
+  par)    default_filter="BM_BatchSolve|BM_BuildUdgParallel|BM_GreedyConnectorsCsr" ;;
   dynamic) default_filter="BM_DynamicChurn|BM_DynamicRebuild" ;;
   survivability) default_filter="BM_SurvivabilityBuild|BM_SurvivabilityMassacre" ;;
   serve)  default_filter="BM_ServeRoundTrip|BM_ServeOverloadedThroughput" ;;

@@ -45,8 +45,26 @@ if command -v ninja >/dev/null 2>&1; then
 fi
 cmake -B "$BUILD_DIR" -S . "${generator[@]}" "${cmake_extra[@]}"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
+junit="$PWD/$BUILD_DIR/ctest-junit.xml"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-  "${ctest_extra[@]}"
+  --output-junit "$junit" "${ctest_extra[@]}"
+
+# Skipped tests per suite: a skipped case asserts nothing, so a suite
+# whose draws skip on every run must show up in the log.
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$junit" <<'EOF'
+import collections, sys, xml.etree.ElementTree as ET
+skipped = collections.Counter(
+    case.get("name").split(".")[0]
+    for case in ET.parse(sys.argv[1]).iter("testcase")
+    if case.find("skipped") is not None)
+for suite, count in sorted(skipped.items()):
+    print(f"skipped {count} in {suite}")
+print(f"skipped tests: {sum(skipped.values())}")
+EOF
+else
+  grep -o -m1 'skipped="[0-9]*"' "$junit"
+fi
 
 if [[ "${SANITIZE:-0}" != "0" ]]; then
   echo "sanitized test suite passed (SANITIZE=${SANITIZE})"

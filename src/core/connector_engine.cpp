@@ -2,12 +2,9 @@
 
 namespace mcds::core {
 
-// The supported storage/policy combinations are instantiated here once:
-// the CSR hot path (ConnectorEngine), the nested-vector baseline the
-// locality benchmarks compare against, and the node-weighted CSR engine
-// behind kmcds_weighted.
-template class BasicConnectorEngine<graph::FrozenGraph, UnitGainPolicy>;
-template class BasicConnectorEngine<graph::NestedView, UnitGainPolicy>;
-template class BasicConnectorEngine<graph::FrozenGraph, NodeWeightedGainPolicy>;
+// The two shipped policies are instantiated here once: unit gain
+// (ConnectorEngine) and node-weighted gain behind kmcds_weighted.
+template class BasicConnectorEngine<UnitGainPolicy>;
+template class BasicConnectorEngine<NodeWeightedGainPolicy>;
 
 }  // namespace mcds::core

@@ -34,18 +34,14 @@
 /// node the reference picks: maximum score, ties to the smallest id. The
 /// differential test suite pins trace-for-trace equality.
 ///
-/// The engine is a template over two axes:
-///  * the adjacency view (graph::FrozenGraph for the CSR hot path,
-///    graph::NestedView for the retained vector-of-vectors layout), so
-///    the locality benchmarks run the *same* selection code over both
-///    storage schemes;
-///  * the *selection policy*, which owns the scoring function (how a
-///    merge count ranks against other candidates — unit gain, or gain
-///    per unit of node weight) and the feasibility predicate (when the
-///    phase is done). UnitGainPolicy reproduces the paper's plain-CDS
-///    selection bit for bit; NodeWeightedGainPolicy ranks by
-///    gain/weight for the node-weighted (1,m)-CDS family (kmcds.hpp).
-/// ConnectorEngine is the CSR + unit-gain instantiation every plain-CDS
+/// The engine reads adjacency through the CSR view graph::FrozenGraph
+/// and is a template over its *selection policy*, which owns the
+/// scoring function (how a merge count ranks against other candidates —
+/// unit gain, or gain per unit of node weight) and the feasibility
+/// predicate (when the phase is done). UnitGainPolicy reproduces the
+/// paper's plain-CDS selection bit for bit; NodeWeightedGainPolicy ranks
+/// by gain/weight for the node-weighted (1,m)-CDS family (kmcds.hpp).
+/// ConnectorEngine is the unit-gain instantiation every plain-CDS
 /// production caller uses.
 ///
 /// Policy requirements (duck-typed; both shipped policies model it):
@@ -86,9 +82,8 @@ struct NodeWeightedGainPolicy {
 };
 
 /// Incremental max-score connector selection over a growing member set.
-/// \tparam View a by-value adjacency view: num_nodes(), neighbors(u).
 /// \tparam Policy the scoring/feasibility policy (see file comment).
-template <class View, class Policy = UnitGainPolicy>
+template <class Policy = UnitGainPolicy>
 class BasicConnectorEngine {
  public:
   /// Seeds the engine with \p members (phase-1 dominators; any duplicate
@@ -96,7 +91,7 @@ class BasicConnectorEngine {
   /// edges are united immediately, so the seed need not be independent.
   /// \p obs (null sinks by default) counts union-find finds/merges and
   /// lazy-queue pops/stale re-scores under "connector_engine.*".
-  BasicConnectorEngine(View g, std::span<const NodeId> members,
+  BasicConnectorEngine(graph::FrozenGraph g, std::span<const NodeId> members,
                        Policy policy = {}, const obs::Obs& obs = {})
       : g_(g),
         policy_(std::move(policy)),
@@ -136,12 +131,6 @@ class BasicConnectorEngine {
       if (!member_[w]) push_if_candidate(w);
     }
   }
-
-  /// Convenience overload for the default-constructed policy, keeping
-  /// the pre-policy (g, members, obs) call sites source-compatible.
-  BasicConnectorEngine(View g, std::span<const NodeId> members,
-                       const obs::Obs& obs)
-      : BasicConnectorEngine(g, members, Policy{}, obs) {}
 
   /// Number of connected components of G[members] right now.
   [[nodiscard]] std::size_t components() const noexcept { return q_; }
@@ -237,7 +226,7 @@ class BasicConnectorEngine {
     }
   }
 
-  View g_;
+  graph::FrozenGraph g_;
   Policy policy_;
   graph::UnionFind uf_;
   std::vector<bool> member_;
@@ -253,15 +242,12 @@ class BasicConnectorEngine {
   obs::Counter* c_retired_ = nullptr;
 };
 
-extern template class BasicConnectorEngine<graph::FrozenGraph,
-                                           UnitGainPolicy>;
-extern template class BasicConnectorEngine<graph::NestedView, UnitGainPolicy>;
-extern template class BasicConnectorEngine<graph::FrozenGraph,
-                                           NodeWeightedGainPolicy>;
+extern template class BasicConnectorEngine<UnitGainPolicy>;
+extern template class BasicConnectorEngine<NodeWeightedGainPolicy>;
 
-/// The production engine: the CSR-view, unit-gain instantiation,
-/// constructible straight from a finalized Graph.
-class ConnectorEngine : public BasicConnectorEngine<graph::FrozenGraph> {
+/// The production engine: the unit-gain instantiation, constructible
+/// straight from a finalized Graph.
+class ConnectorEngine : public BasicConnectorEngine<UnitGainPolicy> {
  public:
   ConnectorEngine(const Graph& g, std::span<const NodeId> members,
                   const obs::Obs& obs = {})
@@ -272,7 +258,7 @@ class ConnectorEngine : public BasicConnectorEngine<graph::FrozenGraph> {
 /// The node-weighted engine used by kmcds_weighted's phase 2. \p weight
 /// must outlive the engine (the policy holds a span).
 class WeightedConnectorEngine
-    : public BasicConnectorEngine<graph::FrozenGraph, NodeWeightedGainPolicy> {
+    : public BasicConnectorEngine<NodeWeightedGainPolicy> {
  public:
   WeightedConnectorEngine(const Graph& g, std::span<const NodeId> members,
                           std::span<const double> weight,

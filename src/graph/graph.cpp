@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace mcds::graph {
 
@@ -11,6 +12,33 @@ Graph::Graph(std::size_t n, std::span<const std::pair<NodeId, NodeId>> edges)
     : n_(n), offsets_(n + 1, 0) {
   for (const auto& [u, v] : edges) add_edge(u, v);
   finalize();
+}
+
+Graph Graph::from_csr(std::vector<std::uint32_t> offsets,
+                      std::vector<NodeId> neighbors) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != neighbors.size() ||
+      !std::is_sorted(offsets.begin(), offsets.end())) {
+    throw std::invalid_argument(
+        "Graph::from_csr: offsets must rise from 0 to neighbors.size()");
+  }
+  const std::size_t n = offsets.size() - 1;
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::uint32_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+      const NodeId v = neighbors[k];
+      if (v >= n || v == u || (k > offsets[u] && v <= neighbors[k - 1])) {
+        throw std::invalid_argument(
+            "Graph::from_csr: row " + std::to_string(u) +
+            " is not strictly ascending in-range ids without a self-loop");
+      }
+    }
+  }
+  Graph g;
+  g.n_ = n;
+  g.offsets_ = std::move(offsets);
+  g.neighbors_ = std::move(neighbors);
+  g.num_edges_ = g.neighbors_.size() / 2;
+  return g;
 }
 
 void Graph::check_node(NodeId u) const {
@@ -116,22 +144,6 @@ FrozenGraph::FrozenGraph(const Graph& g)
 bool FrozenGraph::has_edge(NodeId u, NodeId v) const noexcept {
   const auto list = neighbors(u);
   return std::binary_search(list.begin(), list.end(), v);
-}
-
-NestedGraph::NestedGraph(const Graph& g) : adj_(g.num_nodes()) {
-  if (!g.finalized()) {
-    throw std::logic_error("NestedGraph: graph must be finalized");
-  }
-  // Replay every edge as two push_backs, interleaved across endpoint
-  // lists exactly like the historical build path — the resulting
-  // growth-doubling allocations are the scattered layout the CSR
-  // comparison benchmarks measure against. Per-list order ends up
-  // sorted afterwards, matching a finalized graph's query contract.
-  for (const auto& [u, v] : g.edges()) {
-    adj_[u].push_back(v);
-    adj_[v].push_back(u);
-  }
-  for (auto& list : adj_) std::sort(list.begin(), list.end());
 }
 
 }  // namespace mcds::graph

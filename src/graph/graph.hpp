@@ -11,12 +11,12 @@
 /// Storage model: Graph is built through add_edge() into per-node build
 /// lists, then finalize() compacts it into a CSR (compressed sparse row)
 /// layout — one flat `offsets_` array of n+1 list boundaries and one
-/// flat `neighbors_` array holding every adjacency consecutively. All
-/// queries after finalize() read the flat arrays, so a neighborhood scan
-/// is a single contiguous range with no per-node heap indirection.
-/// FrozenGraph is the zero-cost view of that layout the hot paths
-/// consume; NestedGraph retains the historical vector-of-vectors
-/// representation for differential tests and locality benchmarks.
+/// flat `neighbors_` array holding every adjacency consecutively. A
+/// builder that already has those arrays (the unit-disk grid kernel)
+/// hands them to from_csr() instead. All queries after finalize() read
+/// the flat arrays, so a neighborhood scan is a single contiguous range
+/// with no per-node heap indirection. FrozenGraph is the zero-cost view
+/// of that layout the hot paths consume.
 
 namespace mcds::graph {
 
@@ -40,6 +40,16 @@ class Graph {
 
   /// Creates a graph from an explicit edge list.
   Graph(std::size_t n, std::span<const std::pair<NodeId, NodeId>> edges);
+
+  /// Adopts ready CSR arrays: the neighbors of u are
+  /// neighbors[offsets[u] .. offsets[u+1]). The result is finalized.
+  /// One O(n + m) pass checks the shape and throws std::invalid_argument
+  /// unless offsets has n+1 entries, starts at 0, never decreases and
+  /// ends at neighbors.size(), and every row holds ids below n in
+  /// strictly ascending order, without u itself. Symmetry (v in row u
+  /// iff u in row v) is a precondition the check does not cover.
+  [[nodiscard]] static Graph from_csr(std::vector<std::uint32_t> offsets,
+                                      std::vector<NodeId> neighbors);
 
   /// Number of nodes.
   [[nodiscard]] std::size_t num_nodes() const noexcept { return n_; }
@@ -137,52 +147,6 @@ class FrozenGraph {
   const std::uint32_t* offsets_ = nullptr;
   const NodeId* neighbors_ = nullptr;
   std::size_t n_ = 0;
-};
-
-/// The pre-CSR adjacency representation: one separately allocated
-/// std::vector per node. Retained as the differential-testing oracle for
-/// the CSR layout and as the baseline side of the locality benchmarks
-/// (BM_GreedyConnectorsNested). The constructor replays the edge
-/// insertions push_back-by-push_back, reproducing the interleaved growth
-/// allocations a Graph used to hold after build + finalize — i.e. the
-/// pointer-chasing layout the CSR conversion removes.
-class NestedGraph {
- public:
-  explicit NestedGraph(const Graph& g);
-
-  [[nodiscard]] std::size_t num_nodes() const noexcept { return adj_.size(); }
-
-  [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const noexcept {
-    return adj_[u];
-  }
-
-  [[nodiscard]] std::size_t degree(NodeId u) const noexcept {
-    return adj_[u].size();
-  }
-
- private:
-  std::vector<std::vector<NodeId>> adj_;
-};
-
-/// Three-word by-value view of a NestedGraph, mirroring FrozenGraph's
-/// interface so templated engines can be instantiated over either
-/// storage layout. The viewed NestedGraph must outlive the view.
-class NestedView {
- public:
-  explicit NestedView(const NestedGraph& g) noexcept : g_(&g) {}
-
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return g_->num_nodes();
-  }
-  [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const noexcept {
-    return g_->neighbors(u);
-  }
-  [[nodiscard]] std::size_t degree(NodeId u) const noexcept {
-    return g_->degree(u);
-  }
-
- private:
-  const NestedGraph* g_;
 };
 
 }  // namespace mcds::graph

@@ -323,10 +323,7 @@ void Server::checkpoint_loop() {
     if (t - last < params_.checkpoint_every) continue;
     last = t;
     try {
-      save_checkpoint(params_.checkpoint_path, snapshot_checkpoint());
-      if (c_checkpoints_) c_checkpoints_->add();
-      std::lock_guard<std::mutex> lk(reg_mu_);
-      ++stats_.checkpoints;
+      write_checkpoint();
     } catch (const std::exception&) {
       // A failed periodic checkpoint must not take the server down;
       // the previous checkpoint file is still intact (atomic rename).
@@ -348,14 +345,21 @@ CheckpointData Server::snapshot_checkpoint() {
   return data;
 }
 
+void Server::write_checkpoint() {
+  {
+    std::lock_guard<std::mutex> lk(checkpoint_mu_);
+    save_checkpoint(params_.checkpoint_path, snapshot_checkpoint());
+  }
+  if (c_checkpoints_) c_checkpoints_->add();
+  std::lock_guard<std::mutex> lk(reg_mu_);
+  ++stats_.checkpoints;
+}
+
 void Server::checkpoint_now() {
   if (params_.checkpoint_path.empty()) {
     throw std::logic_error("Server: no checkpoint_path configured");
   }
-  save_checkpoint(params_.checkpoint_path, snapshot_checkpoint());
-  if (c_checkpoints_) c_checkpoints_->add();
-  std::lock_guard<std::mutex> lk(reg_mu_);
-  ++stats_.checkpoints;
+  write_checkpoint();
 }
 
 void Server::account(Status s, bool degraded) const {

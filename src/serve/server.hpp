@@ -128,7 +128,9 @@ class Server {
   void shutdown();
 
   /// Forces a checkpoint now (also the SIGTERM path's last act).
-  /// Throws if no engine or no checkpoint_path is configured.
+  /// Throws if no engine or no checkpoint_path is configured. Safe to
+  /// call from several threads while the checkpointer runs: saves are
+  /// serialized, so the epoch on disk never goes backwards.
   void checkpoint_now();
 
   [[nodiscard]] ServerStats stats() const;
@@ -165,6 +167,8 @@ class Server {
   void run_churn(QueueItem& item);
   void retire_done_locked() const;
   [[nodiscard]] CheckpointData snapshot_checkpoint();
+  /// Snapshots and saves under checkpoint_mu_, then counts the save.
+  void write_checkpoint();
   void account(Status s, bool degraded) const;
 
   ServerParams params_;
@@ -199,6 +203,12 @@ class Server {
   std::unique_ptr<dyn::DynamicCds> engine_;
   std::vector<geom::Vec2> base_points_;
   std::vector<ChurnOp> journal_;
+
+  /// Held across snapshot + save by every checkpoint writer (the
+  /// checkpointer thread and checkpoint_now callers). Writers share
+  /// "<path>.tmp", and a save must not publish an epoch older than the
+  /// one already on disk, so saves run one at a time in snapshot order.
+  std::mutex checkpoint_mu_;
 
   std::thread batcher_;
   std::thread watchdog_;

@@ -1,14 +1,8 @@
 #include "udg/builder.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
-#include "par/thread_pool.hpp"
+#include "udg/cell_grid.hpp"
 
 namespace mcds::udg {
 
@@ -16,123 +10,13 @@ using geom::Vec2;
 using graph::Graph;
 using graph::NodeId;
 
-namespace {
-// Packs a 2-D grid cell into one key. Cells are bounded by the
-// deployment region so 32-bit halves are ample.
-[[nodiscard]] std::uint64_t cell_key(long cx, long cy) noexcept {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
-         static_cast<std::uint32_t>(cy);
-}
-}  // namespace
-
 Graph build_udg(std::span<const Vec2> points, double radius) {
-  if (!(radius > 0.0)) {
-    throw std::invalid_argument("build_udg: radius must be positive");
-  }
-  Graph g(points.size());
-  if (points.size() < 2) {
-    g.finalize();
-    return g;
-  }
-
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> grid;
-  // There are at most n occupied cells, and unordered_map::reserve takes
-  // an *element* count — reserving 2n only inflated the bucket array
-  // (~-4% build time at n=4096 after right-sizing, see BENCH_phase2.json
-  // BM_BuildUdg trajectory).
-  grid.reserve(points.size());
-  const auto cell_of = [radius](Vec2 p) {
-    return std::pair{static_cast<long>(std::floor(p.x / radius)),
-                     static_cast<long>(std::floor(p.y / radius))};
-  };
-  // Each point's cell is needed twice (insert + neighborhood scan);
-  // compute it once and keep the indices hot.
-  std::vector<std::pair<long, long>> cells(points.size());
-  for (NodeId i = 0; i < points.size(); ++i) {
-    cells[i] = cell_of(points[i]);
-    grid[cell_key(cells[i].first, cells[i].second)].push_back(i);
-  }
-
-  const double r2 = radius * radius;
-  for (NodeId i = 0; i < points.size(); ++i) {
-    const auto [cx, cy] = cells[i];
-    for (long dy = -1; dy <= 1; ++dy) {
-      for (long dx = -1; dx <= 1; ++dx) {
-        const auto it = grid.find(cell_key(cx + dx, cy + dy));
-        if (it == grid.end()) continue;
-        for (const NodeId j : it->second) {
-          if (j <= i) continue;
-          if (geom::dist2(points[i], points[j]) <= r2) g.add_edge(i, j);
-        }
-      }
-    }
-  }
-  g.finalize();
-  return g;
+  return grid_udg(points, radius, {}, nullptr);
 }
 
 Graph build_udg(std::span<const Vec2> points, double radius,
                 par::ThreadPool& pool) {
-  if (!(radius > 0.0)) {
-    throw std::invalid_argument("build_udg: radius must be positive");
-  }
-  Graph g(points.size());
-  if (points.size() < 2) {
-    g.finalize();
-    return g;
-  }
-
-  // Serial prologue, identical to build_udg: cell assignment and the
-  // occupied-cell index. The map is read-only once the sweep starts, so
-  // workers share it without synchronization.
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> grid;
-  grid.reserve(points.size());
-  const auto cell_of = [radius](Vec2 p) {
-    return std::pair{static_cast<long>(std::floor(p.x / radius)),
-                     static_cast<long>(std::floor(p.y / radius))};
-  };
-  std::vector<std::pair<long, long>> cells(points.size());
-  for (NodeId i = 0; i < points.size(); ++i) {
-    cells[i] = cell_of(points[i]);
-    grid[cell_key(cells[i].first, cells[i].second)].push_back(i);
-  }
-
-  // Fan the distance tests over point ranges. Each chunk appends to its
-  // own edge list; chunk boundaries depend only on n and the pool size,
-  // and lists are merged in chunk index order, so the edge sequence fed
-  // to the graph — and therefore the finalized CSR — is reproducible at
-  // any thread count.
-  const double r2 = radius * radius;
-  const std::size_t workers = pool.size();
-  const std::size_t grain = std::max<std::size_t>(
-      64, points.size() / std::max<std::size_t>(workers * 8, 1));
-  const std::size_t chunks = (points.size() - 1) / grain + 1;
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> chunk_edges(chunks);
-  par::parallel_for(
-      &pool, points.size(), grain,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        auto& edges = chunk_edges[chunk];
-        for (NodeId i = static_cast<NodeId>(begin); i < end; ++i) {
-          const auto [cx, cy] = cells[i];
-          for (long dy = -1; dy <= 1; ++dy) {
-            for (long dx = -1; dx <= 1; ++dx) {
-              const auto it = grid.find(cell_key(cx + dx, cy + dy));
-              if (it == grid.end()) continue;
-              for (const NodeId j : it->second) {
-                if (j <= i) continue;
-                if (geom::dist2(points[i], points[j]) <= r2) {
-                  edges.emplace_back(i, j);
-                }
-              }
-            }
-          }
-        }
-      });
-  for (const auto& edges : chunk_edges) {
-    for (const auto& [u, v] : edges) g.add_edge(u, v);
-  }
-  g.finalize();
-  return g;
+  return grid_udg(points, radius, {}, &pool);
 }
 
 Graph build_udg_naive(std::span<const Vec2> points, double radius) {

@@ -7,8 +7,8 @@
 
 /// \file builder.hpp
 /// Unit-disk graph construction: nodes are points; {u, v} is an edge iff
-/// |uv| <= radius. A uniform grid makes construction O(n) expected for
-/// bounded densities (vs the naive O(n^2)).
+/// |uv| <= radius. The grid kernel of cell_grid.hpp makes construction
+/// O(n log n + m) (vs the naive O(n^2)).
 
 namespace mcds::par {
 class ThreadPool;
@@ -23,12 +23,10 @@ namespace mcds::udg {
 [[nodiscard]] graph::Graph build_udg(std::span<const geom::Vec2> points,
                                      double radius = 1.0);
 
-/// build_udg with the grid neighborhood sweep fanned over \p pool. The
-/// occupied-cell index is built serially (hash insertion is inherently
-/// ordered); the O(n · density) distance tests — the dominant cost — run
-/// as per-chunk tasks whose edge lists are merged in chunk order, and
-/// Graph::finalize() canonicalizes adjacency, so the result is
-/// bit-identical to the serial builder at every thread count.
+/// build_udg with the kernel's count and fill passes — the O(n · density)
+/// distance tests, the dominant cost — fanned over \p pool. Every row is
+/// written by one task and sorted, so the result is bit-identical to the
+/// serial builder at every thread count.
 [[nodiscard]] graph::Graph build_udg(std::span<const geom::Vec2> points,
                                      double radius, par::ThreadPool& pool);
 

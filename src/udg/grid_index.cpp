@@ -1,9 +1,10 @@
 #include "udg/grid_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
+
+#include "udg/cell_grid.hpp"
 
 namespace mcds::udg {
 
@@ -13,8 +14,11 @@ using graph::Graph;
 
 namespace {
 
-/// Same packing as build_udg: two 32-bit cell coordinates in one key.
-[[nodiscard]] std::uint64_t cell_key(long cx, long cy) noexcept {
+/// Packs a cell's coordinates, truncated to 32 bits each, into one key.
+/// Cells 2^32 apart share a key; that only adds candidates, which the
+/// exact distance test rejects.
+[[nodiscard]] std::uint64_t cell_key(std::int64_t cx,
+                                     std::int64_t cy) noexcept {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
          static_cast<std::uint32_t>(cy);
 }
@@ -46,8 +50,8 @@ GridIndex::GridIndex(std::span<const Vec2> points, double radius)
 }
 
 std::uint64_t GridIndex::cell_of(Vec2 p) const noexcept {
-  return cell_key(static_cast<long>(std::floor(p.x / radius_)),
-                  static_cast<long>(std::floor(p.y / radius_)));
+  const Cell c = grid_cell(p, radius_);
+  return cell_key(c.x, c.y);
 }
 
 void GridIndex::cell_insert(std::uint64_t key, NodeId v) {
@@ -84,11 +88,10 @@ void GridIndex::check_alive(NodeId v, bool want_alive, const char* what) const {
 void GridIndex::alive_in_range(Vec2 p, NodeId exclude,
                                std::vector<NodeId>& out) const {
   out.clear();
-  const long cx = static_cast<long>(std::floor(p.x / radius_));
-  const long cy = static_cast<long>(std::floor(p.y / radius_));
-  for (long dy = -1; dy <= 1; ++dy) {
-    for (long dx = -1; dx <= 1; ++dx) {
-      const auto it = cells_.find(cell_key(cx + dx, cy + dy));
+  const Cell c = grid_cell(p, radius_);
+  for (std::int64_t dy = -1; dy <= 1; ++dy) {
+    for (std::int64_t dx = -1; dx <= 1; ++dx) {
+      const auto it = cells_.find(cell_key(c.x + dx, c.y + dy));
       if (it == cells_.end()) continue;
       for (const NodeId j : it->second) {
         if (j == exclude) continue;
@@ -204,26 +207,7 @@ void GridIndex::move(NodeId v, Vec2 p, EdgeDelta& delta) {
 }
 
 Graph GridIndex::build_graph() const {
-  Graph g(pos_.size());
-  const double r2 = r2_;
-  for (NodeId i = 0; i < pos_.size(); ++i) {
-    if (!alive_[i]) continue;
-    const Vec2 p = pos_[i];
-    const long cx = static_cast<long>(std::floor(p.x / radius_));
-    const long cy = static_cast<long>(std::floor(p.y / radius_));
-    for (long dy = -1; dy <= 1; ++dy) {
-      for (long dx = -1; dx <= 1; ++dx) {
-        const auto it = cells_.find(cell_key(cx + dx, cy + dy));
-        if (it == cells_.end()) continue;
-        for (const NodeId j : it->second) {
-          if (j <= i) continue;
-          if (geom::dist2(p, pos_[j]) <= r2) g.add_edge(i, j);
-        }
-      }
-    }
-  }
-  g.finalize();
-  return g;
+  return grid_udg(pos_, radius_, alive_, nullptr);
 }
 
 }  // namespace mcds::udg

@@ -10,11 +10,12 @@
 #include "graph/graph.hpp"
 
 /// \file grid_index.hpp
-/// The persistent half of build_udg. The batch builder hashes every
+/// The persistent half of build_udg. The batch builder sorts every
 /// point into radius-sized cells, sweeps the 3×3 neighborhood, and
 /// throws the whole grid away; under churn that is O(n) of rebuilt state
-/// per event. GridIndex owns the same cell → point mapping across
-/// events: insert, move, erase and revive each touch only the O(1)
+/// per event. GridIndex keeps a hashed cell → point map (same cell rule,
+/// udg::grid_cell) across events: insert, move, erase and revive each
+/// touch only the O(1)
 /// cells around the affected point and emit the *exact* set of unit-disk
 /// edges that appeared or vanished, which is what the incremental CDS
 /// engine consumes. Node ids are stable and never reused; a node erased
@@ -79,8 +80,9 @@ class GridIndex {
   void alive_neighbors(NodeId v, std::vector<NodeId>& out) const;
 
   /// The unit-disk graph over the alive nodes, on the full id space
-  /// (dead nodes are isolated). Identical CSR to what build_udg produces
-  /// for the same alive positions.
+  /// (dead nodes are isolated). It runs build_udg's kernel (grid_udg)
+  /// over the positions, so the CSR is identical to what build_udg
+  /// produces for the same alive positions.
   [[nodiscard]] graph::Graph build_graph() const;
 
   /// Number of occupied grid cells (diagnostics).

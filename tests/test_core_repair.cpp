@@ -75,8 +75,7 @@ TEST_P(RepairRandom, ValidAfterPerturbation) {
   const auto old_cds = greedy_cds(before.graph, 0).cds;
 
   // Perturb: jitter every node by up to 0.3 and rebuild the topology
-  // (keeping the same ids); take the largest component's node set via a
-  // fresh build — if disconnected, skip (repair requires connectivity).
+  // (keeping the same ids).
   sim::Rng rng(GetParam() * 13 + 1);
   auto moved = before.points;
   for (auto& p : moved) {
@@ -84,7 +83,15 @@ TEST_P(RepairRandom, ValidAfterPerturbation) {
     p.y += rng.uniform(-0.3, 0.3);
   }
   const auto after = udg::build_udg(moved);
-  if (!graph::is_connected(after)) GTEST_SKIP() << "fragmented draw";
+  if (!graph::is_connected(after)) {
+    // A fragmented draw: each component is repaired against the old
+    // backbone nodes that fell into it.
+    const auto r = repair_cds_components(after, old_cds);
+    EXPECT_TRUE(check_cds_components(after, r.cds).ok);
+    EXPECT_EQ(r.kept, old_cds.size());
+    EXPECT_EQ(r.kept + r.added, r.cds.size());
+    return;
+  }
 
   const auto r = repair_cds(after, old_cds);
   EXPECT_TRUE(is_cds(after, r.cds));
@@ -119,11 +126,18 @@ TEST_P(RepairFailure, SurvivesBackboneNodeLoss) {
     if (v != failed) pts.push_back(inst.points[v]);
   }
   const auto g2 = udg::build_udg(pts);
-  if (!graph::is_connected(g2)) GTEST_SKIP() << "failure disconnected it";
   std::vector<NodeId> survivors;
   for (const NodeId v : old_cds) {
     if (v == failed) continue;
     survivors.push_back(v > failed ? v - 1 : v);
+  }
+  if (!graph::is_connected(g2)) {
+    // The failure split the network: repair every side on its own.
+    const auto r = repair_cds_components(g2, survivors);
+    EXPECT_TRUE(check_cds_components(g2, r.cds).ok);
+    EXPECT_EQ(r.kept, survivors.size());
+    EXPECT_EQ(r.kept + r.added, r.cds.size());
+    return;
   }
   const auto r = repair_cds(g2, survivors);
   EXPECT_TRUE(is_cds(g2, r.cds));

@@ -1,9 +1,9 @@
 // Differential tests for the CSR graph storage: the flat
-// offsets_/neighbors_ layout must present exactly the adjacency the
-// historical vector-of-vectors representation (NestedGraph) holds, on
-// random unit-disk graphs and on the degenerate shapes where an
-// off-by-one in the row boundaries would hide (isolated nodes, complete
-// graphs, a single node, the empty graph).
+// offsets_/neighbors_ layout must present exactly the adjacency of the
+// input edge list, on random unit-disk graphs and on the degenerate
+// shapes where an off-by-one in the row boundaries would hide (isolated
+// nodes, complete graphs, a single node, the empty graph). Graph::from_csr
+// must accept exactly the shapes finalize() produces.
 
 #include <gtest/gtest.h>
 
@@ -11,17 +11,18 @@
 #include <stdexcept>
 #include <vector>
 
+#include "geom/vec2.hpp"
 #include "graph/graph.hpp"
 #include "graph/traversal.hpp"
+#include "test_util.hpp"
 #include "udg/instance.hpp"
 
 namespace {
 
 using mcds::graph::FrozenGraph;
 using mcds::graph::Graph;
-using mcds::graph::NestedGraph;
-using mcds::graph::NestedView;
 using mcds::graph::NodeId;
+using Edges = std::vector<std::pair<NodeId, NodeId>>;
 
 std::vector<NodeId> sorted(std::span<const NodeId> xs) {
   std::vector<NodeId> v(xs.begin(), xs.end());
@@ -29,19 +30,38 @@ std::vector<NodeId> sorted(std::span<const NodeId> xs) {
   return v;
 }
 
-// The CSR view and the nested oracle must agree node-by-node on degree
-// and neighbor set, and the CSR must keep each row sorted ascending.
-void expect_layouts_agree(const Graph& g) {
+// Every pair of points at most one apart: a UDG's edge list, by brute
+// force.
+Edges udg_edges(const std::vector<mcds::geom::Vec2>& pts) {
+  Edges edges;
+  for (NodeId u = 0; u < pts.size(); ++u) {
+    for (NodeId v = u + 1; v < pts.size(); ++v) {
+      if (mcds::geom::dist2(pts[u], pts[v]) <= 1.0) edges.emplace_back(u, v);
+    }
+  }
+  return edges;
+}
+
+// The CSR must hold, node by node, exactly the neighbor set the input
+// edge list gives (duplicates collapsed), each row sorted ascending.
+void expect_csr_matches(const Graph& g, const Edges& edges) {
   ASSERT_TRUE(g.finalized());
+  std::vector<std::vector<NodeId>> want(g.num_nodes());
+  for (const auto& [u, v] : edges) {
+    want[u].push_back(v);
+    want[v].push_back(u);
+  }
   const FrozenGraph fg(g);
-  const NestedGraph nested(g);
   ASSERT_EQ(fg.num_nodes(), g.num_nodes());
-  ASSERT_EQ(nested.num_nodes(), g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(fg.degree(u), nested.degree(u)) << "node " << u;
+    auto& row_want = want[u];
+    std::sort(row_want.begin(), row_want.end());
+    row_want.erase(std::unique(row_want.begin(), row_want.end()),
+                   row_want.end());
     const auto row = fg.neighbors(u);
-    EXPECT_TRUE(std::is_sorted(row.begin(), row.end())) << "node " << u;
-    EXPECT_EQ(sorted(row), sorted(nested.neighbors(u))) << "node " << u;
+    EXPECT_EQ(fg.degree(u), row_want.size()) << "node " << u;
+    EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()), row_want)
+        << "node " << u;
   }
 }
 
@@ -60,26 +80,18 @@ TEST(GraphCsr, DifferentialRandomUdg) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto inst = mcds::udg::generate_instance(
         {.nodes = 200, .side = 12.0}, seed);
-    expect_layouts_agree(inst.graph);
+    expect_csr_matches(inst.graph, udg_edges(inst.points));
   }
 }
 
 TEST(GraphCsr, DifferentialBfsOrders) {
-  // BFS order exercises row boundaries in visit order; nested-replay
-  // graphs and CSR graphs must induce the same traversal.
+  // BFS order exercises row boundaries in visit order; a graph rebuilt
+  // from the brute-force edge list must induce the same traversal.
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto inst = mcds::udg::generate_instance(
         {.nodes = 150, .side = 9.0}, seed);
     const auto& g = inst.graph;
-    const NestedGraph nested(g);
-    // Rebuild a Graph from the nested layout's edges and compare BFS.
-    Graph rebuilt(g.num_nodes());
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      for (const NodeId v : nested.neighbors(u)) {
-        if (u < v) rebuilt.add_edge(u, v);
-      }
-    }
-    rebuilt.finalize();
+    const Graph rebuilt(g.num_nodes(), udg_edges(inst.points));
     const auto a = mcds::graph::bfs(g, 0);
     const auto b = mcds::graph::bfs(rebuilt, 0);
     EXPECT_EQ(a.order, b.order) << "seed " << seed;
@@ -92,7 +104,7 @@ TEST(GraphCsr, IsolatedNodesHaveEmptyRows) {
   Graph g(5);
   g.add_edge(1, 3);
   g.finalize();
-  expect_layouts_agree(g);
+  expect_csr_matches(g, {{1, 3}});
   const FrozenGraph fg(g);
   for (const NodeId u : {0u, 2u, 4u}) {
     EXPECT_EQ(fg.degree(u), 0u);
@@ -104,13 +116,13 @@ TEST(GraphCsr, IsolatedNodesHaveEmptyRows) {
 
 TEST(GraphCsr, CompleteGraph) {
   constexpr std::size_t n = 17;
-  Graph g(n);
+  Edges edges;
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
+    for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
   }
-  g.finalize();
+  const Graph g(n, edges);
   EXPECT_EQ(g.num_edges(), n * (n - 1) / 2);
-  expect_layouts_agree(g);
+  expect_csr_matches(g, edges);
   const FrozenGraph fg(g);
   for (NodeId u = 0; u < n; ++u) {
     EXPECT_EQ(fg.degree(u), n - 1);
@@ -123,14 +135,14 @@ TEST(GraphCsr, CompleteGraph) {
 TEST(GraphCsr, SingleNodeAndEmptyGraph) {
   Graph one(1);
   one.finalize();
-  expect_layouts_agree(one);
+  expect_csr_matches(one, {});
   EXPECT_EQ(FrozenGraph(one).degree(0), 0u);
 
   Graph empty;
   empty.finalize();
   const FrozenGraph fg(empty);
   EXPECT_EQ(fg.num_nodes(), 0u);
-  expect_layouts_agree(empty);
+  expect_csr_matches(empty, {});
 }
 
 TEST(GraphCsr, ThawRefreezeRoundTrip) {
@@ -147,7 +159,7 @@ TEST(GraphCsr, ThawRefreezeRoundTrip) {
   EXPECT_EQ(g.num_edges(), 3u);
   const std::vector<NodeId> expected{1, 2};
   EXPECT_EQ(sorted(g.neighbors(0)), expected);
-  expect_layouts_agree(g);
+  expect_csr_matches(g, {{0, 2}, {2, 3}, {0, 1}});
 }
 
 TEST(GraphCsr, FailedAddEdgeLeavesFinalizedStateIntact) {
@@ -217,17 +229,6 @@ TEST(GraphCsr, FrozenViewRequiresFinalized) {
   EXPECT_NO_THROW(FrozenGraph{g});
 }
 
-TEST(GraphCsr, NestedViewMirrorsNestedGraph) {
-  const auto inst = mcds::udg::generate_instance({.nodes = 80}, 3);
-  const NestedGraph nested(inst.graph);
-  const NestedView view(nested);
-  ASSERT_EQ(view.num_nodes(), nested.num_nodes());
-  for (NodeId u = 0; u < view.num_nodes(); ++u) {
-    EXPECT_EQ(view.degree(u), nested.degree(u));
-    EXPECT_EQ(sorted(view.neighbors(u)), sorted(nested.neighbors(u)));
-  }
-}
-
 TEST(GraphCsr, EdgeListConstructorMatchesIncremental) {
   const std::vector<std::pair<NodeId, NodeId>> edges{
       {0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}};
@@ -236,7 +237,59 @@ TEST(GraphCsr, EdgeListConstructorMatchesIncremental) {
   for (const auto& [u, v] : edges) incremental.add_edge(u, v);
   incremental.finalize();
   EXPECT_EQ(from_list.edges(), incremental.edges());
-  expect_layouts_agree(from_list);
+  expect_csr_matches(from_list, edges);
+}
+
+TEST(GraphCsr, FromCsrAdoptsTheAddEdgeBuild) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto inst = mcds::udg::generate_instance(
+        {.nodes = 150, .side = 9.0}, seed);
+    const Graph built(inst.points.size(), udg_edges(inst.points));
+    const auto offsets = built.offsets();
+    const auto neighbors = built.flat_neighbors();
+    const Graph adopted = Graph::from_csr({offsets.begin(), offsets.end()},
+                                          {neighbors.begin(), neighbors.end()});
+    EXPECT_TRUE(adopted.finalized());
+    EXPECT_TRUE(mcds::test::same_csr(adopted, built)) << "seed " << seed;
+    EXPECT_EQ(adopted.num_nodes(), built.num_nodes());
+    EXPECT_EQ(adopted.num_edges(), built.num_edges());
+    EXPECT_EQ(adopted.edges(), built.edges());
+  }
+  const Graph empty = Graph::from_csr({0}, {});
+  EXPECT_EQ(empty.num_nodes(), 0u);
+  EXPECT_EQ(empty.num_edges(), 0u);
+  // Mutating an adopted graph thaws it like any finalized graph.
+  Graph path = Graph::from_csr({0, 1, 2, 2}, {1, 0});
+  path.add_edge(1, 2);
+  EXPECT_THROW(path.add_edge(2, 2), std::invalid_argument);
+  path.finalize();
+  expect_csr_matches(path, {{0, 1}, {1, 2}});
+}
+
+TEST(GraphCsr, FromCsrRejectsMalformedShapes) {
+  struct Case {
+    const char* what;
+    std::vector<std::uint32_t> offsets;
+    std::vector<NodeId> neighbors;
+  };
+  // The well-formed path 0-1-2 is {0, 1, 3, 4} / {1, 0, 2, 1}.
+  const std::vector<Case> cases{
+      {"no offsets", {}, {}},
+      {"offsets start above 0", {1, 1, 3, 4}, {1, 0, 2, 1}},
+      {"offsets decrease", {0, 3, 1, 4}, {1, 0, 2, 1}},
+      {"offsets end short of neighbors", {0, 1, 3, 3}, {1, 0, 2, 1}},
+      {"offsets end past neighbors", {0, 1, 3, 5}, {1, 0, 2, 1}},
+      {"id out of range", {0, 1, 3, 4}, {1, 0, 3, 1}},
+      {"self-loop", {0, 1, 3, 4}, {1, 1, 2, 1}},
+      {"row descending", {0, 1, 3, 4}, {1, 2, 0, 1}},
+      {"row with a repeat", {0, 1, 3, 4}, {1, 0, 0, 1}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_THROW((void)Graph::from_csr(c.offsets, c.neighbors),
+                 std::invalid_argument)
+        << c.what;
+  }
+  EXPECT_NO_THROW((void)Graph::from_csr({0, 1, 3, 4}, {1, 0, 2, 1}));
 }
 
 }  // namespace

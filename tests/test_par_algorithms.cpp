@@ -11,6 +11,7 @@
 #include "geom/vec2.hpp"
 #include "par/thread_pool.hpp"
 #include "sim/rng.hpp"
+#include "test_util.hpp"
 #include "udg/builder.hpp"
 #include "udg/instance.hpp"
 
@@ -43,7 +44,32 @@ TEST(ParUdgBuild, MatchesSerialBuilderAcrossThreadCounts) {
           << "threads " << threads << " seed " << seed;
       EXPECT_EQ(pooled.edges(), serial.edges())
           << "threads " << threads << " seed " << seed;
+      EXPECT_TRUE(mcds::test::same_csr(pooled, serial))
+          << "threads " << threads << " seed " << seed;
     }
+  }
+}
+
+TEST(ParUdgBuild, WideSpreadMatchesSerialAcrossThreadCounts) {
+  // Clusters scattered over more than 2^34 cells per axis, negative
+  // coordinates included, with enough points for several chunks per
+  // worker.
+  mcds::sim::Rng rng(31);
+  std::vector<Vec2> pts;
+  for (int c = 0; c < 40; ++c) {
+    const double cx = rng.uniform(-0x1p34, 0x1p34);
+    const double cy = rng.uniform(-0x1p34, 0x1p34);
+    for (int k = 0; k < 50; ++k) {
+      pts.push_back({cx + rng.uniform(-3, 3), cy + rng.uniform(-3, 3)});
+    }
+  }
+  const auto serial = mcds::udg::build_udg(pts, 1.0);
+  EXPECT_TRUE(mcds::test::same_csr(serial, mcds::udg::build_udg_naive(pts)));
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    EXPECT_TRUE(
+        mcds::test::same_csr(mcds::udg::build_udg(pts, 1.0, pool), serial))
+        << "threads " << threads;
   }
 }
 

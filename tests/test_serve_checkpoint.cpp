@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <thread>
+#include <vector>
 
 #include "serve/checkpoint.hpp"
 #include "serve/server.hpp"
@@ -257,6 +259,65 @@ TEST(ServeCheckpoint, ConcurrentCheckpointDuringChurnIsConsistent) {
   const auto restored = restore_engine(load_checkpoint(path));
   server.drain();
   EXPECT_GE(server.stats().checkpoints, 1u);
+  EXPECT_EQ(server.stats().leaked(), 0u);
+  ASSERT_NE(server.engine(), nullptr);
+  EXPECT_EQ(restored->epoch(), server.engine()->epoch());
+  EXPECT_EQ(restored->cds(), server.engine()->cds());
+  std::remove(path.c_str());
+}
+
+// Several checkpoint_now() callers racing the 3 ms checkpointer during
+// churn. Every save must succeed (the writers share "<path>.tmp"), every
+// file must parse, the epoch each caller reads back must never go
+// backwards, and the last save restores to the engine's state.
+TEST(ServeCheckpoint, ConcurrentCheckpointNowCallersAreSerialized) {
+  const std::string path = tmp_path("ckpt_callers.bin");
+  const auto inst = base_instance(29);
+  ServerParams p;
+  p.initial_points = inst.points;
+  p.checkpoint_path = path;
+  p.checkpoint_every = 3ms;
+  Server server(std::move(p));
+
+  std::atomic<bool> churning{true};
+  std::atomic<std::size_t> saves{0};
+  std::atomic<std::size_t> failures{0};
+  std::atomic<std::size_t> regressions{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      std::size_t last_epoch = 0;
+      while (churning.load()) {
+        try {
+          server.checkpoint_now();
+          const std::size_t epoch = load_checkpoint(path).epoch;
+          if (epoch < last_epoch) ++regressions;
+          last_epoch = epoch;
+          ++saves;
+        } catch (const std::exception&) {
+          ++failures;
+        }
+        std::this_thread::sleep_for(100us);
+      }
+    });
+  }
+  for (const ChurnOp& op : churn_script(inst, 60, 4711)) {
+    Request r;
+    r.ops.push_back(op);
+    r.deadline = std::chrono::steady_clock::now() + 10s;
+    const Response resp = server.submit(std::move(r)).wait();
+    EXPECT_EQ(resp.status, Status::kOk) << resp.error;
+    std::this_thread::sleep_for(200us);
+  }
+  churning.store(false);
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(regressions.load(), 0u);
+  EXPECT_GT(saves.load(), 0u);
+
+  server.checkpoint_now();
+  const auto restored = restore_engine(load_checkpoint(path));
+  server.drain();
   EXPECT_EQ(server.stats().leaked(), 0u);
   ASSERT_NE(server.engine(), nullptr);
   EXPECT_EQ(restored->epoch(), server.engine()->epoch());

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "par/thread_pool.hpp"
+#include "test_util.hpp"
 #include "udg/deployment.hpp"
+#include "udg/grid_index.hpp"
+
+namespace mcds_test {
+extern std::atomic<std::size_t> g_largest_alloc;
+}  // namespace mcds_test
 
 namespace mcds::udg {
 namespace {
@@ -44,8 +53,50 @@ TEST(BuildUdg, NodesInSameCell) {
   EXPECT_FALSE(g.has_edge(0, 2));
 }
 
-// Property sweep: grid-hashed construction must be identical to the
-// quadratic reference, including boundary-exact distances and negative
+TEST(BuildUdg, WideSpreadMatchesNaive) {
+  // Cells spanning more than 2^32 columns and rows, negative ones too.
+  // The first three points are where a key packing (row << 32) | col
+  // aliases cells and loses the 1-2 edge.
+  std::vector<Vec2> pts{{0, 0},
+                        {4294967295.5, 0},
+                        {4294967296.2, 0},
+                        {-4294967296.6, -3},
+                        {-4294967295.9, -3.5}};
+  sim::Rng rng(2008);
+  for (const double cx :
+       {-1e12, -6e9, -4294967296.0, 0.0, 4294967296.0, 1e12}) {
+    for (const double cy : {-5e9, -1.5, 4294967296.0}) {
+      for (int k = 0; k < 12; ++k) {
+        pts.push_back({cx + rng.uniform(-1, 1), cy + rng.uniform(-1, 1)});
+      }
+    }
+  }
+  const auto want = build_udg_naive(pts);
+  EXPECT_TRUE(want.has_edge(1, 2));
+  EXPECT_TRUE(want.has_edge(3, 4));
+  EXPECT_GT(want.num_edges(), pts.size());
+  EXPECT_TRUE(test::same_csr(build_udg(pts), want));
+  EXPECT_TRUE(test::same_csr(GridIndex(pts, 1.0).build_graph(), want));
+}
+
+TEST(BuildUdg, FarApartPointsAllocateNoBoundingBox) {
+  // Cells 10^9 apart on both axes: an array over the bounding box, or
+  // over either axis alone, would hold at least 10^9 entries.
+  const std::vector<Vec2> pts{{0, 0}, {1e9, 1e9}, {-1e9, 1e9}, {0.5, 0.5}};
+  par::ThreadPool pool(2);
+  mcds_test::g_largest_alloc.store(0);
+  const auto serial = build_udg(pts);
+  const auto pooled = build_udg(pts, 1.0, pool);
+  const auto indexed = GridIndex(pts, 1.0).build_graph();
+  EXPECT_LT(mcds_test::g_largest_alloc.load(), 4096u);
+  EXPECT_EQ(serial.num_edges(), 1u);
+  EXPECT_TRUE(serial.has_edge(0, 3));
+  EXPECT_TRUE(test::same_csr(pooled, serial));
+  EXPECT_TRUE(test::same_csr(indexed, serial));
+}
+
+// Property sweep: grid construction must be identical to the quadratic
+// reference, including boundary-exact distances and negative
 // coordinates.
 class BuildUdgRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -66,6 +117,8 @@ TEST_P(BuildUdgRandom, MatchesNaive) {
   ASSERT_EQ(fast.num_nodes(), slow.num_nodes());
   EXPECT_EQ(fast.num_edges(), slow.num_edges());
   EXPECT_EQ(fast.edges(), slow.edges());
+  EXPECT_TRUE(test::same_csr(fast, slow));
+  EXPECT_TRUE(test::same_csr(GridIndex(pts, radius).build_graph(), slow));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuildUdgRandom,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -11,6 +12,12 @@ namespace mcds::test {
 
 using graph::Graph;
 using graph::NodeId;
+
+/// True when \p a and \p b hold byte-identical CSR arrays.
+inline bool same_csr(const Graph& a, const Graph& b) {
+  return std::ranges::equal(a.offsets(), b.offsets()) &&
+         std::ranges::equal(a.flat_neighbors(), b.flat_neighbors());
+}
 
 /// Graph on n nodes from an inline edge list.
 inline Graph make_graph(std::size_t n,
