@@ -584,7 +584,8 @@ BENCHMARK(BM_ServeOverloadedThroughput)
 // (threads = 0: the golden single-thread engine with the recycled
 // inbox arena) and on a 1/2/8-worker pool. Parallel rounds are
 // byte-identical to serial (tests/test_dist_par.cpp proves it per
-// run); only the wall clock may differ. scripts/bench_snapshot.sh
+// run); only the wall clock may differ. The `nodes`/`edges` counters
+// give the true size of the kept component. scripts/bench_snapshot.sh
 // records the trajectory into BENCH_dist.json.
 
 struct DistBenchInputs {
@@ -628,6 +629,8 @@ void BM_DistMisRounds(benchmark::State& state) {
     messages += static_cast<double>(r.stats.messages);
     benchmark::DoNotOptimize(r.mis.size());
   }
+  state.counters["nodes"] = static_cast<double>(in.inst.graph.num_nodes());
+  state.counters["edges"] = static_cast<double>(in.inst.graph.num_edges());
   state.counters["rounds_per_s"] =
       benchmark::Counter(rounds, benchmark::Counter::kIsRate);
   state.counters["msgs_per_s"] =
@@ -665,6 +668,8 @@ void BM_DistConnectorRounds(benchmark::State& state) {
     messages += static_cast<double>(r.stats.messages);
     benchmark::DoNotOptimize(r.cds.size());
   }
+  state.counters["nodes"] = static_cast<double>(in.inst.graph.num_nodes());
+  state.counters["edges"] = static_cast<double>(in.inst.graph.num_edges());
   state.counters["rounds_per_s"] =
       benchmark::Counter(rounds, benchmark::Counter::kIsRate);
   state.counters["msgs_per_s"] =

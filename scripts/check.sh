@@ -94,6 +94,27 @@ grep -Eq '^[^ ;]+(;[^ ;]+)* [0-9]+$' "$obs_dir/smoke.folded"
 grep -q '"span":1,' "$obs_dir/smoke_causal.jsonl"
 grep -q '"seq":0,' "$obs_dir/smoke_snapshots.jsonl"
 echo "telemetry export smoke check passed"
+# Fault-free distributed smoke: the mail-driven BFS phase must step fewer
+# nodes than nodes x rounds; the round-indexed connector phase steps
+# every node every round.
+"$BUILD_DIR"/examples/mcds_cli dist --in "$obs_dir/smoke.pts" --algo waf \
+  --metrics "$obs_dir/smoke_waf_metrics.json" > "$obs_dir/smoke_waf.out"
+counter() {
+  grep -o "\"$1\": [0-9]*" "$obs_dir/smoke_waf_metrics.json" | grep -o '[0-9]*$'
+}
+nodes=$(sed -n 's/^nodes: \([0-9]*\),.*/\1/p' "$obs_dir/smoke_waf.out")
+bfs_steps=$(counter bfs_tree.steps)
+bfs_rounds=$(counter bfs_tree.rounds)
+conn_steps=$(counter connector_selection.steps)
+conn_rounds=$(counter connector_selection.rounds)
+if (( bfs_steps >= nodes * bfs_rounds || conn_steps != nodes * conn_rounds )); then
+  echo "step counter smoke check failed: nodes $nodes, bfs_tree" \
+    "$bfs_steps steps / $bfs_rounds rounds, connector_selection" \
+    "$conn_steps steps / $conn_rounds rounds" >&2
+  exit 1
+fi
+echo "step counter smoke check passed: bfs_tree $bfs_steps steps" \
+  "< $nodes x $bfs_rounds rounds"
 # (k,m)-CDS smoke check: the fault-tolerant solve path must build a
 # backbone that its own witness validator accepts (non-zero exit and the
 # defect description otherwise).

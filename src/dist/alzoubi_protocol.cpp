@@ -58,6 +58,9 @@ class ConnectProtocol final : public Protocol {
     }
   }
 
+  /// Probes and joins are handled as they arrive; nothing is timed.
+  [[nodiscard]] bool mail_driven() const override { return true; }
+
   [[nodiscard]] const std::vector<std::uint8_t>& connectors() const {
     return connector_;
   }

@@ -42,6 +42,9 @@ class BfsProtocol final : public Protocol {
                   Message{0, 0, static_cast<std::int64_t>(level_[self]), 0});
   }
 
+  /// A node adopts a level only from an offer in its inbox.
+  [[nodiscard]] bool mail_driven() const override { return true; }
+
   [[nodiscard]] std::vector<NodeId> parents() const { return parent_; }
   [[nodiscard]] std::vector<NodeId> levels() const { return level_; }
 

@@ -55,6 +55,9 @@ class LabelProtocol final : public Protocol {
     }
   }
 
+  /// An empty inbox lowers no label, so nothing is sent.
+  [[nodiscard]] bool mail_driven() const override { return true; }
+
   [[nodiscard]] const std::vector<NodeId>& labels() const { return label_; }
 
  private:

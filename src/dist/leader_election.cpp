@@ -35,6 +35,9 @@ class MinIdFlood final : public Protocol {
     }
   }
 
+  /// An empty inbox improves nothing, so nothing is sent.
+  [[nodiscard]] bool mail_driven() const override { return true; }
+
   [[nodiscard]] NodeId known(NodeId v) const { return known_[v]; }
 
  private:

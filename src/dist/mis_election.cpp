@@ -38,6 +38,10 @@ class MisProtocol final : public Protocol {
     try_decide(self);
   }
 
+  /// try_decide() already ran in start(); without new decisions from
+  /// lower-ranked neighbors its inputs are unchanged.
+  [[nodiscard]] bool mail_driven() const override { return true; }
+
   [[nodiscard]] std::vector<bool> in_mis() const {
     return {in_mis_.begin(), in_mis_.end()};
   }

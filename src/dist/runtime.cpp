@@ -5,6 +5,7 @@
 #include "par/thread_pool.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -112,40 +113,53 @@ void Runtime::InboxArena::reset(std::size_t n) {
   begin_.assign(n, 0);
   len_.assign(n, 0);
   cursor_.assign(n, 0);
-  epoch_of_.assign(n, 0);
-  epoch_ = 0;
+  marked_.assign((n + 63) / 64, 0);
   buf_.clear();
-  touched_.clear();
+  dests_.clear();
 }
 
-void Runtime::InboxArena::stage(const Bucket& due) {
-  ++epoch_;
-  touched_.clear();
-  const std::size_t total = due.msgs.size();
-  buf_.resize(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    const NodeId to = due.tos[i];
-    if (epoch_of_[to] != epoch_) {
-      epoch_of_[to] = epoch_;
-      len_[to] = 0;
-      touched_.push_back(to);
+void Runtime::InboxArena::stage(const Bucket& due,
+                                const graph::FrozenGraph* csr) {
+  for (const NodeId v : dests_) len_[v] = 0;  // last round's extents
+  dests_.clear();
+  const auto count = [this](NodeId to) {
+    if (len_[to]++ == 0) marked_[to >> 6] |= std::uint64_t{1} << (to & 63);
+  };
+  const std::size_t entries = due.msgs.size();
+  for (std::size_t i = 0; i < entries; ++i) {
+    if (due.tos[i] == kEveryNeighbor) {
+      for (const NodeId u : csr->neighbors(due.msgs[i].from)) count(u);
+    } else {
+      count(due.tos[i]);
     }
-    ++len_[to];
   }
+  // Ascending destinations straight off the bitmap: O(n/64) per round.
   std::uint32_t off = 0;
-  for (const NodeId v : touched_) {
-    begin_[v] = off;
-    cursor_[v] = off;
-    off += len_[v];
+  for (std::size_t w = 0; w < marked_.size(); ++w) {
+    for (std::uint64_t bits = marked_[w]; bits != 0; bits &= bits - 1) {
+      const auto v = static_cast<NodeId>(w * 64 + std::countr_zero(bits));
+      dests_.push_back(v);
+      begin_[v] = off;
+      cursor_[v] = off;
+      off += len_[v];
+    }
+    marked_[w] = 0;
   }
-  // Stable scatter: per-destination order stays enqueue order, exactly
-  // the inbox order of the former per-destination vectors.
-  for (std::size_t i = 0; i < total; ++i) {
-    buf_[cursor_[due.tos[i]]++] = due.msgs[i];
+  buf_.resize(off);
+  // Stable scatter: per-destination order stays enqueue order, and a
+  // record lands at its own position in every neighbor's inbox — the
+  // order its per-copy routing would have produced.
+  for (std::size_t i = 0; i < entries; ++i) {
+    const Message& m = due.msgs[i];
+    if (due.tos[i] == kEveryNeighbor) {
+      for (const NodeId u : csr->neighbors(m.from)) buf_[cursor_[u]++] = m;
+    } else {
+      buf_[cursor_[due.tos[i]]++] = m;
+    }
   }
 }
 
-Runtime::Runtime(const Graph& g) : g_(g) {
+Runtime::Runtime(const Graph& g) : g_(g), live_(g.num_nodes()) {
   if (g.finalized()) frozen_.emplace(g);
   arena_.reset(g.num_nodes());
   queue_.emplace_back();
@@ -153,7 +167,7 @@ Runtime::Runtime(const Graph& g) : g_(g) {
 
 Runtime::Runtime(const Graph& g, const FaultPlan& plan,
                  std::size_t round_offset)
-    : g_(g), plan_(plan), round_offset_(round_offset) {
+    : g_(g), plan_(plan), live_(g.num_nodes()), round_offset_(round_offset) {
   if (g.finalized()) frozen_.emplace(g);
   arena_.reset(g.num_nodes());
   queue_.emplace_back();
@@ -205,6 +219,17 @@ void Runtime::send(NodeId from, NodeId to, Message m) {
 
 void Runtime::broadcast(NodeId from, Message m) {
   m.from = from;
+  // Fault-free and causally untraced, every copy takes the same path
+  // into the same round: carry the broadcast as one record until then.
+  if (!faulty_ && !causal_active_ && frozen_ && from < g_.num_nodes()) {
+    if (frozen_->degree(from) == 0) return;
+    if (ShardBuf* cap = tl_step_.buf) {
+      cap->sends.push_back(CapturedSend{kEveryNeighbor, m});
+      return;
+    }
+    enqueue(kEveryNeighbor, m, 0);
+    return;
+  }
   if (ShardBuf* cap = tl_step_.buf) {
     for (const NodeId to : g_.neighbors(from)) {
       cap->sends.push_back(CapturedSend{to, m});
@@ -273,13 +298,14 @@ void Runtime::enqueue(NodeId to, const Message& m, std::size_t delay) {
         obs_.causal->on_send(causal_trace_, ctx_, m.from, to, m.type,
                              round_offset_ + rounds_run_);
   }
-  ++in_flight_;
+  in_flight_ += copies(to, m);
 }
 
 void Runtime::discard_queued(const PartitionEvent* cut, NodeId crashed) {
   // Stable compaction over the flat buckets; `cut` non-null drops
   // cross-group traffic (group_ already updated), otherwise everything
-  // addressed to the crashed node is lost.
+  // addressed to the crashed node is lost. Only faulty runs get here,
+  // and they route every copy: no bucket holds a broadcast record.
   for (Bucket& bucket : queue_) {
     const std::size_t size = bucket.msgs.size();
     std::size_t w = 0;
@@ -315,6 +341,7 @@ void Runtime::apply_events_through(std::size_t global_round) {
          plan_.schedule[next_event_].round <= global_round) {
     const CrashEvent& e = plan_.schedule[next_event_++];
     if (e.node >= g_.num_nodes()) continue;
+    if (up_[e.node] != e.up) live_ = e.up ? live_ + 1 : live_ - 1;
     up_[e.node] = e.up;
     if (e.up) continue;
     // Fail-stop: everything queued for the crashed node is lost.
@@ -358,7 +385,14 @@ void Runtime::apply_partition(const PartitionEvent& e) {
 std::vector<NodeId> Runtime::nodes_with_pending() const {
   std::vector<NodeId> out;
   for (const Bucket& bucket : queue_) {
-    out.insert(out.end(), bucket.tos.begin(), bucket.tos.end());
+    for (std::size_t i = 0; i < bucket.tos.size(); ++i) {
+      if (bucket.tos[i] == kEveryNeighbor) {
+        const auto row = frozen_->neighbors(bucket.msgs[i].from);
+        out.insert(out.end(), row.begin(), row.end());
+      } else {
+        out.push_back(bucket.tos[i]);
+      }
+    }
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -369,8 +403,10 @@ std::vector<std::pair<std::int32_t, std::size_t>> Runtime::in_flight_by_type()
     const {
   std::map<std::int32_t, std::size_t> counts;
   for (const Bucket& bucket : queue_) {
-    for (const Message& m : bucket.msgs) {
-      ++counts[m.link == kLinkAck ? kAckType : m.type];
+    for (std::size_t i = 0; i < bucket.msgs.size(); ++i) {
+      const Message& m = bucket.msgs[i];
+      counts[m.link == kLinkAck ? kAckType : m.type] +=
+          copies(bucket.tos[i], m);
     }
   }
   return {counts.begin(), counts.end()};
@@ -420,20 +456,26 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
     ctx_ = {};
   }
 
+  // A mail-driven protocol in a fault-free run steps only this round's
+  // destinations; otherwise every live node steps.
+  const bool mail_only = p.mail_driven() && !faulty_;
   // Shard layout for parallel rounds, mirroring par::parallel_for's
-  // chunking: chunk c covers [c*grain, min(n, (c+1)*grain)).
+  // chunking: chunk c steps positions [c*grain, min(count, (c+1)*grain))
+  // of the round's step list of count nodes. The grain follows n, not
+  // the list, so a round with little mail runs as one inline chunk
+  // instead of waking the pool.
   const bool parallel = pool_ != nullptr && n > 0;
   std::size_t grain = 0;
-  std::size_t chunks = 0;
   if (parallel) {
     grain = grain_;
     if (grain == 0) {
       const std::size_t workers = std::max<std::size_t>(1, pool_->size());
       grain = std::max(kMinShard, n / (workers * kShardsPerWorker));
     }
-    chunks = (n - 1) / grain + 1;
+    const std::size_t chunks = (n - 1) / grain + 1;
     if (shards_.size() < chunks) shards_.resize(chunks);
   }
+  std::size_t steps = 0;  // step() calls, counted only with metrics on
 
   // The per-node delivery prelude shared by the serial loop and the
   // parallel barrier replay: record trace events, close delivered spans
@@ -480,12 +522,14 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
       Bucket due = std::move(queue_.front());
       queue_.pop_front();
       if (queue_.empty()) queue_.push_back(take_spare());
-      arena_.stage(due);
+      arena_.stage(due, frozen_ ? &*frozen_ : nullptr);
       recycle(std::move(due));
     }
     const std::size_t delivered = arena_.all().size();
     in_flight_ -= delivered;
     stats.messages += delivered;
+    const std::span<const NodeId> dests = arena_.destinations();
+    if (metrics_on) steps += mail_only ? dests.size() : live_;
     if (metrics_on || rec) {
       // Per-type delivered counts; under the ring-buffer trace each
       // active type becomes a Perfetto counter track.
@@ -512,12 +556,18 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
     }
     p.on_round_begin();
     if (parallel) {
+      // The round's step list: the destinations, or every node id.
+      const std::size_t count = mail_only ? dests.size() : n;
+      const auto node_at = [&](std::size_t i) {
+        return mail_only ? dests[i] : static_cast<NodeId>(i);
+      };
+      const std::size_t chunks = count == 0 ? 0 : (count - 1) / grain + 1;
       // Phase A (workers): step contiguous shards concurrently. Sends
       // are captured raw — no queue, channel-RNG or tracer access — and
       // each worker computes its node's causal context from the
       // immutable span table.
       par::parallel_for(
-          pool_, n, grain,
+          pool_, count, grain,
           [&](std::size_t begin, std::size_t end, std::size_t c) {
             ShardBuf& buf = shards_[c];
             buf.clear();
@@ -525,8 +575,8 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
             struct Reset {
               ~Reset() { tl_step_.buf = nullptr; }
             } reset;
-            for (std::size_t v = begin; v < end; ++v) {
-              const auto node = static_cast<NodeId>(v);
+            for (std::size_t i = begin; i < end; ++i) {
+              const NodeId node = node_at(i);
               if (!(faulty_ && !up_[node])) {
                 tl_step_.ctx = causal ? deepest_context(arena_.inbox(node))
                                       : obs::CausalContext{};
@@ -542,12 +592,12 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
       // byte-identical to the serial loop.
       for (std::size_t c = 0; c < chunks; ++c) {
         const std::size_t begin = c * grain;
-        const std::size_t end = std::min(n, begin + grain);
+        const std::size_t end = std::min(count, begin + grain);
         const ShardBuf& buf = shards_[c];
         std::size_t cursor = 0;
-        for (std::size_t v = begin; v < end; ++v) {
-          const auto node = static_cast<NodeId>(v);
-          const std::size_t node_end = buf.node_end[v - begin];
+        for (std::size_t i = begin; i < end; ++i) {
+          const NodeId node = node_at(i);
+          const std::size_t node_end = buf.node_end[i - begin];
           if (faulty_ && !up_[node]) {
             cursor = node_end;
             continue;
@@ -558,6 +608,11 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
             route(s.m.from, s.to, s.m);
           }
         }
+      }
+    } else if (mail_only) {
+      for (const NodeId v : dests) {
+        deliver_prelude(v, arena_.inbox(v));
+        p.step(v, arena_.inbox(v));
       }
     } else {
       for (NodeId v = 0; v < n; ++v) {
@@ -580,6 +635,7 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
     auto& reg = *obs_.metrics;
     reg.counter(prefix + ".rounds").add(stats.rounds);
     reg.counter(prefix + ".messages").add(stats.messages);
+    reg.counter(prefix + ".steps").add(steps);
     if (causal) {
       reg.counter(prefix + ".critical_path").add(stats.critical_path);
     }

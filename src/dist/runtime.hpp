@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -26,6 +27,12 @@
 /// fail-stop crash schedule and scheduled network partitions, all
 /// consulted at delivery time. With the default (trivial) plan the
 /// execution is bit-identical to the ideal fault-free model.
+///
+/// Work in proportion to the mail: in a fault-free run, a protocol that
+/// declares itself mail_driven() is stepped only at the nodes with mail,
+/// and a broadcast travels as one record (sender + message) until the
+/// round that delivers it fans it out over the sender's CSR row. Both
+/// are byte-identical to stepping every node and routing every copy.
 ///
 /// Parallel round execution: the round boundary is a global barrier and
 /// step() implementations are node-local, so a round's steps can run
@@ -151,10 +158,12 @@ class Transport {
   [[nodiscard]] virtual const Graph& topology() const noexcept = 0;
 };
 
-/// A node-local protocol. The runtime calls start() once for every node,
-/// then step() each round with the node's inbox, until a round passes
-/// with no messages in flight (quiescence) or the protocol declares
-/// completion via Runtime::all_idle_means_done.
+/// A node-local protocol. The runtime calls start() once for every live
+/// node, then step() each round with the node's inbox, until a round
+/// passes with no messages in flight and idle() holds (quiescence). Each
+/// round steps every live node in ascending id — or, for a mail_driven()
+/// protocol in a fault-free run, only the nodes with mail, in ascending
+/// id.
 ///
 /// Threading contract: step(self, ...) may run concurrently with other
 /// nodes' steps when the runtime executes parallel rounds, so it must
@@ -172,10 +181,10 @@ class Protocol {
   /// Lets phase-structured protocols advance a local round counter.
   virtual void on_round_begin() {}
 
-  /// Called once per node per round with the messages delivered this
-  /// round (possibly empty once the protocol is winding down). The span
-  /// points into the runtime's recycled inbox arena and is only valid
-  /// for the duration of the call.
+  /// Called once per stepped node per round with the messages delivered
+  /// this round (possibly empty, unless the run is mail-driven). The
+  /// span points into the runtime's recycled inbox arena and is only
+  /// valid for the duration of the call.
   virtual void step(NodeId self, std::span<const Message> inbox) = 0;
 
   /// Called once at the end of each round, after every step() and after
@@ -188,6 +197,14 @@ class Protocol {
   /// are in flight *or* this returns false. Link layers with pending
   /// retransmission timers override it; plain protocols never need to.
   [[nodiscard]] virtual bool idle() const { return true; }
+
+  /// Mail-driven contract: true promises that step() on an empty inbox
+  /// changes nothing and sends nothing for a node that ran start(). A
+  /// fault-free run then steps only the nodes with mail. Faulty runs
+  /// step every live node regardless: a node that was down at start()
+  /// never ran it. Round-indexed protocols and link layers, which act
+  /// on empty rounds, keep the default.
+  [[nodiscard]] virtual bool mail_driven() const { return false; }
 };
 
 /// The synchronous runtime: owns the delivery queues and runs a Protocol
@@ -209,7 +226,8 @@ class Runtime final : public Transport {
   void broadcast(NodeId from, Message m) override;
 
   /// Switches run() to parallel round execution on \p pool (nullptr
-  /// restores the serial loop). Live nodes are partitioned into
+  /// restores the serial loop). The round's step list (live nodes, or
+  /// the nodes with mail in a mail-driven run) is partitioned into
   /// contiguous shards of \p grain nodes (0 = auto) stepped
   /// concurrently; outboxes are merged at the barrier in (node id, send
   /// order), so the execution is byte-identical to the serial loop at
@@ -269,13 +287,20 @@ class Runtime final : public Transport {
   void set_context(const obs::CausalContext& ctx) noexcept { ctx_ = ctx; }
 
  private:
+  /// Bucket destination of a broadcast record: msgs[i] stands for one
+  /// copy to every neighbor of msgs[i].from, fanned out at staging.
+  /// Only fault-free, causally untraced runs enqueue records; faulty or
+  /// traced runs route each copy, which takes its own channel draw and
+  /// span id.
+  static constexpr NodeId kEveryNeighbor = std::numeric_limits<NodeId>::max();
+
   /// One future delivery slot: messages that cross the same number of
   /// round boundaries, in send order. Flat parallel arrays instead of
   /// per-destination vectors so a round's enqueues are appends into one
   /// recycled buffer.
   struct Bucket {
     std::vector<Message> msgs;
-    std::vector<NodeId> tos;  ///< destination of msgs[i]
+    std::vector<NodeId> tos;  ///< destination of msgs[i] or kEveryNeighbor
 
     [[nodiscard]] bool empty() const noexcept { return msgs.empty(); }
     void clear() noexcept {
@@ -286,36 +311,41 @@ class Runtime final : public Transport {
 
   /// The recycled inbox arena: each round the due Bucket is grouped by
   /// destination into one flat Message buffer (stable counting sort, so
-  /// per-destination order is enqueue order) and protocols step over
-  /// spans into it. All buffers are reused across rounds — after
-  /// warmup the per-round cost is O(delivered), with no allocation.
+  /// per-destination order is enqueue order; a record fans out at its
+  /// own position) and protocols step over spans into it. Destinations
+  /// are laid out in ascending id, read off a bitmap over node ids. All
+  /// buffers are reused across rounds — after warmup the per-round cost
+  /// is O(delivered + n/64), with no allocation.
   class InboxArena {
    public:
     void reset(std::size_t n);
-    void stage(const Bucket& due);
+    /// \p csr expands kEveryNeighbor records (null when none can occur).
+    void stage(const Bucket& due, const graph::FrozenGraph* csr);
     [[nodiscard]] std::span<const Message> inbox(NodeId v) const noexcept {
-      if (epoch_of_[v] != epoch_) return {};
       return {buf_.data() + begin_[v], len_[v]};
     }
     /// Every message delivered this round (grouped by destination).
     [[nodiscard]] std::span<const Message> all() const noexcept {
       return buf_;
     }
+    /// This round's destinations, ascending.
+    [[nodiscard]] std::span<const NodeId> destinations() const noexcept {
+      return dests_;
+    }
 
    private:
     std::vector<Message> buf_;
     std::vector<std::uint32_t> begin_;
-    std::vector<std::uint32_t> len_;
+    std::vector<std::uint32_t> len_;  ///< 0 off this round's destinations
     std::vector<std::uint32_t> cursor_;
-    std::vector<std::uint64_t> epoch_of_;
-    std::uint64_t epoch_ = 0;
-    std::vector<NodeId> touched_;  ///< destinations, first-seen order
+    std::vector<std::uint64_t> marked_;  ///< bitmap of this round's dests
+    std::vector<NodeId> dests_;
   };
 
   /// A send captured during a parallel step, replayed at the barrier.
   struct CapturedSend {
-    NodeId to = 0;
-    Message m;  ///< from already stamped
+    NodeId to = 0;  ///< or kEveryNeighbor for a broadcast record
+    Message m;      ///< from already stamped
   };
 
   /// Per-shard outbox: sends in step order, plus the cumulative send
@@ -341,6 +371,11 @@ class Runtime final : public Transport {
 
   void route(NodeId from, NodeId to, const Message& m);
   void enqueue(NodeId to, const Message& m, std::size_t delay);
+  /// Deliveries an entry stands for: 1, or the sender's degree for a
+  /// broadcast record.
+  [[nodiscard]] std::size_t copies(NodeId to, const Message& m) const {
+    return to == kEveryNeighbor ? frozen_->degree(m.from) : 1;
+  }
   void apply_events_through(std::size_t global_round);
   void apply_partition(const PartitionEvent& e);
   void discard_queued(const PartitionEvent* cut, NodeId crashed);
@@ -360,6 +395,7 @@ class Runtime final : public Transport {
   bool faulty_ = false;
   std::optional<ChannelModel> model_;
   std::vector<bool> up_;  ///< empty on the fault-free fast path
+  std::size_t live_ = 0;  ///< nodes up right now
   /// Active partition grouping (empty = no partition scheduled or the
   /// network healed back into one group).
   std::vector<std::uint32_t> group_;

@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -65,6 +67,7 @@ struct Capture {
   FaultStats faults;
   std::string result;   ///< digest of the protocol's own outputs
   std::string metrics;  ///< sorted-JSON metric export
+  std::size_t steps = 0;  ///< step() calls (run_untraced only)
 };
 
 // One protocol scenario: given a RunConfig (pool already set), run and
@@ -278,6 +281,75 @@ TEST(ParDistDeterminism, OddGrainsAndThreadCounts) {
     reg.write_json(ms);
     cap.metrics = ms.str();
     expect_identical(serial, cap, "waf_cds grain=" + std::to_string(grain));
+  }
+}
+
+// The fast paths of a fault-free run — stepping only the nodes with
+// mail and carrying each broadcast as one record — must be invisible.
+// The reference is the same run under a plan whose only entry recovers
+// a node that is already up: it injects nothing but makes the run
+// faulty, so every live node steps and every copy is routed on its own.
+// No causal tracer is attached, since one turns broadcast records off.
+FaultPlan noop_plan() {
+  FaultPlan plan;
+  plan.schedule.push_back({.round = 1, .node = 0, .up = true});
+  return plan;
+}
+
+Capture run_untraced(const Graph& g, const Scenario& fn, const FaultPlan& plan,
+                     ThreadPool* pool) {
+  Capture cap;
+  mcds::obs::MetricsRegistry reg;
+  RunConfig cfg;
+  cfg.plan = plan;
+  cfg.max_rounds = 4000;
+  cfg.trace = &cap.trace;
+  cfg.obs.metrics = &reg;
+  cfg.pool = pool;
+  cfg.shard_grain = 3;  // several shards even on these small graphs
+  fn(g, cfg, cap);
+  for (const auto& [name, c] : reg.counters()) {
+    if (name.ends_with(".steps")) cap.steps += c.value();
+  }
+  // The step counters differ by design; every other metric must not.
+  std::ostringstream ms;
+  reg.write_json(ms);
+  static const std::regex kSteps(R"(("[^"]*\.steps": )[0-9]+)");
+  cap.metrics = std::regex_replace(ms.str(), kSteps, "$1_");
+  return cap;
+}
+
+TEST(ParDistFastPaths, FaultFreeRunsMatchTheirNoOpPlanTwins) {
+  for (const auto& [seed, nodes] :
+       {std::pair<std::uint64_t, std::size_t>{17, 40}, {23, 31}, {29, 24},
+        {31, 30}}) {
+    const Graph g = par_udg(seed, nodes);
+    for (const auto& [name, fn] : all_scenarios(g)) {
+      const std::string_view scenario = name;
+      const std::string what =
+          std::string(name) + " on seed " + std::to_string(seed);
+      const Capture general = run_untraced(g, fn, noop_plan(), nullptr);
+      ASSERT_FALSE(general.trace.empty()) << what;
+      const Capture fast = run_untraced(g, fn, FaultPlan{}, nullptr);
+      expect_identical(general, fast, what + " serial");
+      // The connector phase and the failure detector are round-indexed
+      // (they still broadcast as records); every other scenario has a
+      // mail-driven phase that skips nodes without mail.
+      if (scenario == "connector" || scenario == "detector") {
+        EXPECT_EQ(fast.steps, general.steps) << what;
+      } else {
+        EXPECT_LT(fast.steps, general.steps) << what;
+      }
+      for (const std::size_t threads : kThreadCounts) {
+        ThreadPool pool(threads);
+        const std::string at = what + " @" + std::to_string(threads);
+        const Capture par = run_untraced(g, fn, FaultPlan{}, &pool);
+        expect_identical(general, par, at + " threads");
+        EXPECT_EQ(par.steps, fast.steps) << at;
+        expect_identical(general, run_untraced(g, fn, noop_plan(), &pool),
+                         at + " threads, no-op plan");
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <new>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/connector_engine.hpp"
@@ -21,6 +22,7 @@
 #include "dist/runtime.hpp"
 #include "obs/obs.hpp"
 #include "obs/timer.hpp"
+#include "par/thread_pool.hpp"
 #include "udg/instance.hpp"
 
 // Allocation counter fed by the replaced global operator new in
@@ -338,6 +340,29 @@ TEST(RuntimeObs, FlushesPerProtocolCountersAndRunStatsBreakdown) {
   EXPECT_EQ(counters.at("bfs_tree.messages").value(), r.tree.stats.messages);
   EXPECT_TRUE(counters.count("mis_election.rounds") == 1);
   EXPECT_TRUE(counters.count("connector_selection.rounds") == 1);
+
+  // Step counters: the mail-driven BFS steps only the nodes with mail;
+  // the round-indexed connector phase steps every node every round.
+  const std::size_t n = inst.graph.num_nodes();
+  EXPECT_GT(counters.at("bfs_tree.steps").value(), 0u);
+  EXPECT_LT(counters.at("bfs_tree.steps").value(), n * r.tree.stats.rounds);
+  EXPECT_EQ(counters.at("connector_selection.steps").value(),
+            n * r.connectors.stats.rounds);
+  // They repeat exactly on a pooled run.
+  obs::MetricsRegistry pooled_reg;
+  par::ThreadPool pool(2);
+  dist::RunConfig pooled_cfg;
+  pooled_cfg.obs.metrics = &pooled_reg;
+  pooled_cfg.pool = &pool;
+  pooled_cfg.shard_grain = 3;
+  (void)dist::distributed_waf_cds(inst.graph, pooled_cfg);
+  for (const char* phase : {"leader_election", "bfs_tree", "mis_election",
+                            "connector_selection"}) {
+    const std::string name = std::string(phase) + ".steps";
+    EXPECT_EQ(pooled_reg.counters().at(name).value(),
+              counters.at(name).value())
+        << name;
+  }
 
   // Per-type breakdown sums to the message total, and per_round to both.
   ASSERT_FALSE(r.total.by_type.empty());
