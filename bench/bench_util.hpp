@@ -4,6 +4,8 @@
 #include <iostream>
 #include <string>
 
+#include "sim/table.hpp"
+
 /// \file bench_util.hpp
 /// Shared scaffolding for the reproduction benches: a banner, a
 /// violation counter (proven inequalities must never fail — a bench
@@ -47,6 +49,18 @@ class Falsifier {
 inline void banner(const std::string& experiment_id,
                    const std::string& title) {
   std::cout << "=== " << experiment_id << ": " << title << " ===\n";
+}
+
+/// "[lo, hi]" with \p precision decimals, a band label for the tables.
+/// Built by appends: "literal" + std::string&& chains trip GCC 12's
+/// -Wrestrict false positive at -O3.
+inline std::string band_label(double lo, double hi, int precision) {
+  std::string label = "[";
+  label += sim::format_double(lo, precision);
+  label += ", ";
+  label += sim::format_double(hi, precision);
+  label += ']';
+  return label;
 }
 
 }  // namespace mcds::bench

@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <map>
-#include <memory>
 
 #include "baselines/guha_khuller.hpp"
 #include "baselines/stojmenovic.hpp"
@@ -578,15 +577,12 @@ BENCHMARK(BM_ServeOverloadedThroughput)
     ->Args({4, 0})
     ->Unit(benchmark::kMillisecond);
 
-// Experiment E30: parallel round execution of the distributed runtime.
-// The two heavyweight WAF phases (rank MIS election, connector
-// selection) run end-to-end on large connected UDGs, serially
-// (threads = 0: the golden single-thread engine with the recycled
-// inbox arena) and on a 1/2/8-worker pool. Parallel rounds are
-// byte-identical to serial (tests/test_dist_par.cpp proves it per
-// run); only the wall clock may differ. The `nodes`/`edges` counters
-// give the true size of the kept component. scripts/bench_snapshot.sh
-// records the trajectory into BENCH_dist.json.
+// Experiment E30: the round loop of the distributed runtime. The two
+// heavyweight WAF phases (rank MIS election, connector selection) run
+// end-to-end on large connected UDGs, on the recycled inbox arena with
+// mail-driven stepping and broadcast records. The `nodes`/`edges`
+// counters give the true size of the kept component.
+// scripts/bench_snapshot.sh records the trajectory into BENCH_dist.json.
 
 struct DistBenchInputs {
   udg::UdgInstance inst;
@@ -616,14 +612,10 @@ const DistBenchInputs& dist_bench_inputs(std::size_t n) {
 
 void BM_DistMisRounds(benchmark::State& state) {
   const auto& in = dist_bench_inputs(static_cast<std::size_t>(state.range(0)));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  std::unique_ptr<par::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<par::ThreadPool>(threads);
+  const dist::RunConfig cfg;
   double rounds = 0.0;
   double messages = 0.0;
   for (auto _ : state) {
-    dist::RunConfig cfg;
-    cfg.pool = pool.get();
     const auto r = dist::elect_mis(in.inst.graph, in.level, cfg);
     rounds += static_cast<double>(r.stats.rounds);
     messages += static_cast<double>(r.stats.messages);
@@ -637,31 +629,18 @@ void BM_DistMisRounds(benchmark::State& state) {
       benchmark::Counter(messages, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_DistMisRounds)
-    ->ArgNames({"n", "threads"})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 8})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 8})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1})
-    ->Args({1000000, 2})
-    ->Args({1000000, 8})
+    ->ArgName("n")
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DistConnectorRounds(benchmark::State& state) {
   const auto& in = dist_bench_inputs(static_cast<std::size_t>(state.range(0)));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  std::unique_ptr<par::ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<par::ThreadPool>(threads);
+  const dist::RunConfig cfg;
   double rounds = 0.0;
   double messages = 0.0;
   for (auto _ : state) {
-    dist::RunConfig cfg;
-    cfg.pool = pool.get();
     const auto r = dist::select_connectors(in.inst.graph, in.leader, in.parent,
                                            in.in_mis, cfg);
     rounds += static_cast<double>(r.stats.rounds);
@@ -676,19 +655,10 @@ void BM_DistConnectorRounds(benchmark::State& state) {
       benchmark::Counter(messages, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_DistConnectorRounds)
-    ->ArgNames({"n", "threads"})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({10000, 2})
-    ->Args({10000, 8})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({100000, 2})
-    ->Args({100000, 8})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1})
-    ->Args({1000000, 2})
-    ->Args({1000000, 8})
+    ->ArgName("n")
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -60,8 +60,7 @@ int main() {
     const double saves =
         100.0 * (waf_size.mean() - greedy_size.mean()) / waf_size.mean();
     table.row()
-        .add("[" + sim::format_double(band.r_min, 2) + ", " +
-             sim::format_double(band.r_max, 2) + "]")
+        .add(bench::band_label(band.r_min, band.r_max, 2))
         .add(connected)
         .add(links.mean(), 0)
         .add(waf_size.mean(), 1)

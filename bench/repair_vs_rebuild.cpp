@@ -129,8 +129,7 @@ int main() {
       repair_prev = repaired.cds;
     }
     wp_table.row()
-        .add("[" + sim::format_double(band.lo, 2) + ", " +
-             sim::format_double(band.hi, 2) + "]")
+        .add(bench::band_label(band.lo, band.hi, 2))
         .add(epochs)
         .add(rebuild_size.mean(), 1)
         .add(repair_size.mean(), 1)

@@ -16,8 +16,8 @@
 //       runs the distributed construction, optionally under faults;
 //       --fault-plan replays a serialized FaultPlan (e.g. a minimized
 //       chaos-fuzzer repro) and the scalar flags refine it; --threads
-//       executes each round's node steps on a worker pool (results and
-//       traces are byte-identical at any thread count)
+//       sizes the pool that builds the UDG and validates the backbone
+//       (the protocol rounds run on the calling thread)
 //   mcds_cli dynamic --in F [--events N] [--crash P] [--speed S]
 //                    [--seed K] [--check-every M]
 //       streams synthetic churn (jittered moves, fail-stop crashes,
@@ -137,8 +137,9 @@ int usage() {
                "[--snapshot-every N]]\n"
             << "dist causal tracing: [--critical-path] "
                "[--causal-jsonl F.jsonl]\n"
-            << "solve/dist parallelism: [--threads N] (default: "
-               "MCDS_THREADS env, else hardware concurrency)\n";
+            << "solve/dist parallelism: [--threads N] workers build the "
+               "UDG and validate the backbone (default: MCDS_THREADS env, "
+               "else hardware concurrency; dist rounds stay serial)\n";
   return 1;
 }
 
@@ -462,9 +463,6 @@ int cmd_dist(const Args& args) {
   }
   cfg.reliable = args.has_flag("reliable");
   cfg.obs = sinks.handle();
-  // The same pool that built the UDG drives parallel round execution —
-  // byte-identical results at any --threads value.
-  cfg.pool = &pool;
   try {
     cfg.plan.validate();
   } catch (const std::exception& e) {

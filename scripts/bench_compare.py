@@ -49,7 +49,7 @@ TOPIC_TOLERANCE = {
     "dynamic": 0.35,
     "survivability": 0.35,
     "serve": 0.60,         # wall-clock shaped load, sleeps + threads
-    "dist": 0.50,          # worker pools: scheduler noise
+    "dist": 0.50,          # 1e5-1e6-node rounds: memory-bandwidth noise
 }
 DEFAULT_TOLERANCE = 0.25
 

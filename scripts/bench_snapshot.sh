@@ -14,7 +14,7 @@
 #                     Release by this script)
 #   BENCH_TOPIC=...   snapshot topic: phase2 (default), fault, obs,
 #                     partition, par, dynamic, survivability, serve or
-#                     dist (serial-vs-parallel round execution)
+#                     dist (the distributed runtime's round loop)
 #   BENCH_FILTER=...  benchmark regex (default: per-topic selection)
 #   ALLOW_DEBUG_LIBBENCHMARK=1
 #                     accept a google-benchmark *library* that reports

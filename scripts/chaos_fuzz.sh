@@ -22,12 +22,6 @@
 #                        (default: chaos-artifacts)
 #   CHAOS_SUITES=...     comma-separated subset of partition,dist,km,
 #                        serve (default: all four)
-#   CHAOS_THREADS=...    run the dist/partition runtime legs through the
-#                        parallel round engine on this many workers
-#                        (default: unset = serial runtime). Failing
-#                        seeds are replayed serially by the owning test
-#                        before ddmin, so minimized plans always carry
-#                        the serial (golden) verdict.
 #
 # Exit status: 0 if every iteration passed, 1 on the first failure (the
 # failing suite, seed and any minimized plan files are reported).
@@ -39,7 +33,6 @@ BUDGET="${1:-${CHAOS_BUDGET:-300}}"
 SEED="${CHAOS_FUZZ_SEED:-$(date +%s)}"
 OUT="${CHAOS_FUZZ_OUT:-chaos-artifacts}"
 SUITES="${CHAOS_SUITES:-partition,dist,km,serve}"
-THREADS="${CHAOS_THREADS:-}"
 
 declare -A BIN FILTER
 BIN[partition]="$BUILD_DIR/tests/test_dist_partition_chaos"
@@ -72,8 +65,7 @@ done
 
 mkdir -p "$OUT"
 echo "chaos_fuzz: budget ${BUDGET}s over suites ${SUITES}," \
-  "base seed $SEED, artifacts in $OUT/" \
-  "${THREADS:+(parallel runtime, CHAOS_THREADS=$THREADS)}"
+  "base seed $SEED, artifacts in $OUT/"
 
 deadline=$((SECONDS + BUDGET))
 iteration=0
@@ -83,12 +75,10 @@ while (( SECONDS < deadline )); do
   suite="${suites[$(( (iteration - 1) % ${#suites[@]} ))]}"
   echo "chaos_fuzz: iteration $iteration, suite $suite" \
     "(CHAOS_FUZZ_SEED=$seed)"
-  if ! CHAOS_FUZZ_SEED="$seed" CHAOS_FUZZ_OUT="$OUT" \
-      CHAOS_THREADS="$THREADS" "${BIN[$suite]}" \
+  if ! CHAOS_FUZZ_SEED="$seed" CHAOS_FUZZ_OUT="$OUT" "${BIN[$suite]}" \
       --gtest_filter="${FILTER[$suite]}" --gtest_brief=1; then
     echo "chaos_fuzz: FAILURE at iteration $iteration in suite $suite" >&2
-    echo "chaos_fuzz: replay with CHAOS_FUZZ_SEED=$seed" \
-      "${THREADS:+CHAOS_THREADS=$THREADS} ${BIN[$suite]}" \
+    echo "chaos_fuzz: replay with CHAOS_FUZZ_SEED=$seed ${BIN[$suite]}" \
       "--gtest_filter=${FILTER[$suite]}" >&2
     if compgen -G "$OUT/*.json" >/dev/null; then
       echo "chaos_fuzz: minimized plans:" >&2

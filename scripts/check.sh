@@ -10,14 +10,14 @@
 # SANITIZE=tsan builds into build-tsan with ThreadSanitizer
 # (-DMCDS_SANITIZE_THREAD=ON) and runs only the threaded suites plus the
 # Km* fault-tolerance suites (the Par* tests drive the pool, the batch
-# engine, the parallel builder/validator overloads and — via ParDist* —
-# the distributed runtime's parallel round engine; the Dyn* suites
-# drive the incremental engine, including concurrent independent
-# engines; the Km* suites exercise the (k,m) builders and the
-# crash-survival harness; the Serve* suites drive the solve server's
-# batcher/watchdog/checkpointer threads under load). The remaining
-# serial suites learn nothing from TSan and would multiply the runtime
-# ~10x.
+# engine and the parallel builder/validator overloads — the distributed
+# runtime steps every round on the calling thread, so its suites stay
+# out of the set; the Dyn* suites drive the incremental engine,
+# including concurrent independent engines; the Km* suites exercise the
+# (k,m) builders and the crash-survival harness; the Serve* suites drive
+# the solve server's batcher/watchdog/checkpointer threads under load).
+# The remaining serial suites learn nothing from TSan and would multiply
+# the runtime ~10x.
 #
 # RUN_BENCH=1 additionally records a performance snapshot via
 # scripts/bench_snapshot.sh (opt-in: the google-benchmark run takes

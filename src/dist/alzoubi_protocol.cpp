@@ -116,8 +116,7 @@ class ConnectProtocol final : public Protocol {
 
   Transport& rt_;
   const std::vector<bool>& in_mis_;
-  // Byte flags: concurrent steps write disjoint bytes, unlike
-  // vector<bool> bits.
+  // Byte flags, not vector<bool> bits: no masking on the step path.
   std::vector<std::uint8_t> connector_;
   std::vector<std::unordered_set<NodeId>> handled_;
   std::vector<std::unordered_set<NodeId>> forwarded_;

@@ -55,8 +55,7 @@ class ConnectorProtocol final : public Protocol {
       switch (m.type) {
         case kReport:
           // Leader picks the best reporter (max count, then min id).
-          // Only the leader receives reports, so this cross-node field
-          // has a single writer even under parallel rounds.
+          // Only the leader receives reports.
           if (best_ == graph::kNoNode || m.a > best_count_ ||
               (m.a == best_count_ && m.from < best_)) {
             best_ = m.from;
@@ -124,8 +123,7 @@ class ConnectorProtocol final : public Protocol {
   NodeId leader_;
   const std::vector<NodeId>& parent_;
   const std::vector<bool>& in_mis_;
-  // Byte flags (not vector<bool>) so concurrent steps write disjoint
-  // bytes.
+  // Byte flags, not vector<bool> bits: no masking on the step path.
   std::vector<std::uint8_t> covered_by_s_;
   std::vector<std::uint8_t> connector_;
   NodeId best_ = graph::kNoNode;

@@ -36,7 +36,6 @@ FailureDetector::FailureDetector(Transport& net,
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     st_[v].resize(g.degree(v));
   }
-  dedup_by_node_.assign(g.num_nodes(), 0);
   c_heartbeats_ = obs.counter("failure_detector.heartbeats");
   c_dedup_ = obs.counter("failure_detector.dedup");
   c_suspicions_ = obs.counter("failure_detector.suspicions");
@@ -70,7 +69,7 @@ void FailureDetector::step(NodeId self, std::span<const Message> inbox) {
       if (c_recoveries_) c_recoveries_->add(1);
     }
     if (m.a <= e.last_payload) {
-      ++dedup_by_node_[self];
+      ++dedup_hits_;
       if (c_dedup_) c_dedup_->add(1);
       continue;
     }
@@ -95,12 +94,6 @@ void FailureDetector::step(NodeId self, std::span<const Message> inbox) {
                                  static_cast<std::int64_t>(round_), 0});
     if (c_heartbeats_) c_heartbeats_->add(net_.topology().degree(self));
   }
-}
-
-std::size_t FailureDetector::dedup_hits() const noexcept {
-  std::size_t total = 0;
-  for (const std::size_t h : dedup_by_node_) total += h;
-  return total;
 }
 
 double FailureDetector::phi_of(const Edge& e) const {

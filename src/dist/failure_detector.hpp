@@ -77,7 +77,7 @@ class FailureDetector final : public Protocol {
   }
 
   /// Heartbeat frames discarded as stale retransmitted copies.
-  [[nodiscard]] std::size_t dedup_hits() const noexcept;
+  [[nodiscard]] std::size_t dedup_hits() const noexcept { return dedup_hits_; }
 
  private:
   /// Detection state of one directed observer->neighbor pair.
@@ -104,9 +104,7 @@ class FailureDetector final : public Protocol {
   std::vector<std::uint32_t> group_truth_;
   bool track_ = false;
   std::optional<std::size_t> converged_round_;
-  /// Per-observer dedup tallies (dedup_hits() sums): each concurrent
-  /// step writes only its own slot.
-  std::vector<std::size_t> dedup_by_node_;
+  std::size_t dedup_hits_ = 0;
   obs::Counter* c_heartbeats_ = nullptr;
   obs::Counter* c_dedup_ = nullptr;
   obs::Counter* c_suspicions_ = nullptr;

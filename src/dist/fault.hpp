@@ -216,13 +216,10 @@ struct RunConfig {
   /// recorder) threaded through every phase's runtime and link layer.
   /// Default: null sinks — zero-overhead disabled instrumentation.
   obs::Obs obs;
-  /// When non-null, every phase's runtime executes its rounds in
-  /// parallel on this pool (see Runtime::parallelize) — byte-identical
-  /// to the serial execution at any thread count. The pool must outlive
-  /// the run.
+  /// Ignored: every round runs on the calling thread. The field stays
+  /// only because the end-to-end benchmark's `dist` workload still sets
+  /// it; it goes once that benchmark stops doing so.
   par::ThreadPool* pool = nullptr;
-  /// Nodes per shard for parallel rounds (0 = auto).
-  std::size_t shard_grain = 0;
 };
 
 }  // namespace mcds::dist

@@ -77,8 +77,8 @@ class MisProtocol final : public Protocol {
   Transport& rt_;
   const std::vector<NodeId>& level_;
   std::vector<std::size_t> undecided_lower_;
-  // std::uint8_t, not vector<bool>: per-node flags must occupy distinct
-  // bytes so concurrent steps never write adjacent bits of one word.
+  // std::uint8_t, not vector<bool>: one byte per node flag, read and
+  // written without bit masking.
   std::vector<std::uint8_t> decided_;
   std::vector<std::uint8_t> in_mis_;
   std::vector<std::uint8_t> blocked_;

@@ -27,37 +27,23 @@ ReliableLink::ReliableLink(Runtime& rt, const ReliableLinkParams& params,
         "ReliableLink: need 1 <= rto <= max_rto");
   }
   const std::size_t n = rt.topology().num_nodes();
-  staged_.resize(n);
   acked_.resize(n);
   next_seq_.resize(n);
   delivered_.resize(n);
-  dedup_by_node_.assign(n, 0);
   c_retx_ = obs.counter("reliable_link.retransmissions");
   c_expired_ = obs.counter("reliable_link.expired");
   c_dedup_ = obs.counter("reliable_link.dedup_hits");
   c_failed_ = obs.counter("reliable_link.delivery_failed");
 }
 
-std::size_t ReliableLink::dedup_hits() const noexcept {
-  std::size_t total = 0;
-  for (const std::size_t h : dedup_by_node_) total += h;
-  return total;
-}
-
 void ReliableLink::post(NodeId from, NodeId to, const Message& payload) {
-  // Sequence numbers are sharded by sender, so concurrent steps (which
-  // only send from self) assign exactly the numbers the serial loop
-  // would. The Pending is staged in the sender's slot and merged into
-  // the global queue at the round barrier.
   const std::uint32_t seq = ++next_seq_[from][to];
   Message wire = payload;
   wire.link = kLinkData;
   wire.seq = seq;
   rt_.send(from, to, wire);
-  staged_[from].push_back(Pending{from, to, payload, seq, params_.rto,
-                                  params_.rto, params_.max_retries, /*age=*/0,
-                                  rt_.context()});
-  has_staged_.store(true, std::memory_order_relaxed);
+  pending_.push_back(Pending{from, to, payload, seq, params_.rto, params_.rto,
+                             params_.max_retries, /*age=*/0, rt_.context()});
 }
 
 void ReliableLink::send(NodeId from, NodeId to, Message m) {
@@ -78,51 +64,12 @@ void ReliableLink::broadcast(NodeId from, Message m) {
   }
 }
 
-void ReliableLink::merge_staged() {
-  if (!has_staged_.load(std::memory_order_relaxed)) return;
-  has_staged_.store(false, std::memory_order_relaxed);
-  // Acks first, appends second: a round's acks can only target entries
-  // that were already pending when the round started (a seq posted this
-  // round cannot be acked before next round), so erasing before
-  // appending reproduces the serial interleaving of erase_if and
-  // push_back exactly. Different nodes' acks match disjoint entries
-  // (the predicate pins p.from), so node order does not matter for the
-  // erasure — one stable pass handles them all.
-  bool any_acked = false;
-  for (const auto& acks : acked_) {
-    if (!acks.empty()) {
-      any_acked = true;
-      break;
-    }
-  }
-  if (any_acked) {
-    std::erase_if(pending_, [&](const Pending& p) {
-      const auto& acks = acked_[p.from];
-      return std::find(acks.begin(), acks.end(),
-                       std::make_pair(p.to, p.seq)) != acks.end();
-    });
-    for (auto& acks : acked_) acks.clear();
-  }
-  // Appends in node order == the order the serial loop pushed them
-  // (node v's whole step ran before node v+1's).
-  for (auto& posts : staged_) {
-    if (posts.empty()) continue;
-    pending_.insert(pending_.end(), std::make_move_iterator(posts.begin()),
-                    std::make_move_iterator(posts.end()));
-    posts.clear();
-  }
-}
-
 void ReliableLink::start(NodeId self) {
   if (inner_) inner_->start(self);
 }
 
 void ReliableLink::on_round_begin() {
-  // Start-phase posts (and any host-side posts) must be pending before
-  // the timers tick over them, exactly as the serial append was.
-  merge_staged();
   if (inner_) inner_->on_round_begin();
-  merge_staged();
   // Tick retransmission timers. Sends from here land in next round's
   // inboxes, exactly like sends from step(). Crashed senders keep their
   // queue but the clock stops (fail-stop with stable storage).
@@ -176,11 +123,10 @@ void ReliableLink::step(NodeId self, std::span<const Message> inbox) {
   std::vector<Message> payloads;
   for (const Message& m : inbox) {
     if (m.link == kLinkAck) {
-      // Ack for our link self -> m.from: staged in the receiver's slot
-      // and applied to the global queue at the barrier; duplicates
-      // erase nothing there.
+      // Ack for our link self -> m.from, applied at the end of the
+      // round; duplicates erase nothing there.
+      if (acked_[self].empty()) ackers_.push_back(self);
       acked_[self].emplace_back(m.from, m.seq);
-      has_staged_.store(true, std::memory_order_relaxed);
     } else if (m.link == kLinkData) {
       // Always re-ack (the previous ack may have been lost); deliver
       // each sequence number once.
@@ -191,7 +137,7 @@ void ReliableLink::step(NodeId self, std::span<const Message> inbox) {
         p.seq = 0;
         payloads.push_back(p);
       } else {
-        ++dedup_by_node_[self];
+        ++dedup_hits_;
         if (c_dedup_) c_dedup_->add();
       }
     } else {
@@ -202,15 +148,23 @@ void ReliableLink::step(NodeId self, std::span<const Message> inbox) {
 }
 
 void ReliableLink::on_round_end() {
-  merge_staged();
+  if (!ackers_.empty()) {
+    // A round's acks name seqs sent in earlier rounds, never one posted
+    // this round, so erasing after the round's posts were appended
+    // removes exactly what an erase at each ack would have.
+    std::erase_if(pending_, [&](const Pending& p) {
+      const auto& acks = acked_[p.from];
+      return std::find(acks.begin(), acks.end(),
+                       std::make_pair(p.to, p.seq)) != acks.end();
+    });
+    for (const NodeId v : ackers_) acked_[v].clear();
+    ackers_.clear();
+  }
   if (inner_) inner_->on_round_end();
 }
 
 bool ReliableLink::idle() const {
   if (inner_ && !inner_->idle()) return false;
-  // Posts staged but not yet merged (possible when the protocol sends
-  // outside a round, e.g. from start()) still hold the execution open.
-  if (has_staged_.load(std::memory_order_relaxed)) return false;
   for (const Pending& p : pending_) {
     if (rt_.is_up(p.from)) return false;
   }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -79,9 +78,8 @@ class ReliableLink final : public Transport, public Protocol {
   void start(NodeId self) override;
   void on_round_begin() override;
   void step(NodeId self, std::span<const Message> inbox) override;
-  /// Round barrier: integrates the per-node ack/post staging produced by
-  /// (possibly concurrent) steps into the global pending list, in node
-  /// order — the order the serial loop appended in.
+  /// Erases the packets this round's steps saw acked, in one stable pass
+  /// over the pending list.
   void on_round_end() override;
   /// Not idle while any live sender still waits for an ack — keeps the
   /// runtime ticking through empty rounds so backoff timers can fire.
@@ -96,7 +94,7 @@ class ReliableLink final : public Transport, public Protocol {
   /// Payloads abandoned (retry budget exhausted or TTL exceeded).
   [[nodiscard]] std::size_t expired() const noexcept { return expired_; }
   /// Duplicate data frames suppressed by receiver-side dedup.
-  [[nodiscard]] std::size_t dedup_hits() const noexcept;
+  [[nodiscard]] std::size_t dedup_hits() const noexcept { return dedup_hits_; }
   /// Structured record of every abandoned payload, in abandonment
   /// order. failed_deliveries().size() == expired().
   [[nodiscard]] const std::vector<DeliveryFailure>& failed_deliveries()
@@ -121,26 +119,18 @@ class ReliableLink final : public Transport, public Protocol {
   };
 
   void post(NodeId from, NodeId to, const Message& payload);
-  void merge_staged();
 
   Runtime& rt_;
   ReliableLinkParams params_;
   Protocol* inner_ = nullptr;
-  /// The global retransmission queue, in post order. Only the host
-  /// thread touches it (on_round_begin timers, on_round_end merges);
-  /// steps stage into the per-node arrays below instead, and the merge
-  /// reproduces the serial append order exactly (all of one round's
-  /// acks target pre-round entries, so erase-then-append-in-node-order
-  /// equals the serial interleaving).
+  /// The retransmission queue, in post order.
   std::vector<Pending> pending_;
-  /// Posts a node's step produced this round (sender-owned slot).
-  std::vector<std::vector<Pending>> staged_;
-  /// Acks a node's step received this round: (peer, seq) of our
-  /// self -> peer transmission (receiver-owned slot).
+  /// Acks node v received this round, as (peer, seq) of its v -> peer
+  /// transmission; on_round_end() erases the matching packets. Keyed by
+  /// sender so each pending packet looks up only its own sender's acks.
   std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> acked_;
-  /// True when any staged_/acked_ slot is non-empty. Relaxed atomic:
-  /// concurrent steps may set it; the host reads it between rounds.
-  std::atomic<bool> has_staged_ = false;
+  /// Nodes with a non-empty acked_ slot this round.
+  std::vector<NodeId> ackers_;
   /// Next sequence number per directed link, sharded by sender.
   std::vector<std::unordered_map<NodeId, std::uint32_t>> next_seq_;
   /// Receiver-side dedup: seqs already delivered, sharded by receiver.
@@ -148,8 +138,7 @@ class ReliableLink final : public Transport, public Protocol {
       delivered_;
   std::size_t retransmissions_ = 0;
   std::size_t expired_ = 0;
-  /// Receiver-owned dedup tallies (dedup_hits() sums).
-  std::vector<std::size_t> dedup_by_node_;
+  std::size_t dedup_hits_ = 0;
   std::vector<DeliveryFailure> failures_;
   /// Pre-resolved metric sinks (nullptr when observability is off, so
   /// the hot paths pay one pointer test each).
@@ -171,7 +160,6 @@ class FaultHarness {
       : rt_(g, cfg.plan, round_offset), max_rounds_(cfg.max_rounds) {
     rt_.record_trace(cfg.trace);
     rt_.observe(cfg.obs, std::move(label));
-    rt_.parallelize(cfg.pool, cfg.shard_grain);
     if (cfg.reliable) link_.emplace(rt_, cfg.link, cfg.obs);
   }
 

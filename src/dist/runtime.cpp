@@ -2,7 +2,6 @@
 
 #include "dist/reliable_link.hpp"
 #include "graph/traversal.hpp"
-#include "par/thread_pool.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -20,12 +19,6 @@ constexpr std::int32_t kAckType = -1;
 
 /// Trace events appended to a RoundLimitError as the post-mortem tail.
 constexpr std::size_t kTailEvents = 16;
-
-/// Auto-sharding for parallel rounds: enough shards per worker that the
-/// work-stealing pool balances uneven protocol work, but shards big
-/// enough that per-chunk submission cost stays invisible.
-constexpr std::size_t kShardsPerWorker = 4;
-constexpr std::size_t kMinShard = 256;
 
 std::string format_round_limit(
     const std::string& protocol, std::size_t rounds_run, std::size_t in_flight,
@@ -65,8 +58,6 @@ std::string format_round_limit(
 }
 
 }  // namespace
-
-thread_local Runtime::StepCtx Runtime::tl_step_;
 
 std::size_t RunStats::of_type(std::int32_t type) const noexcept {
   for (const auto& [t, c] : by_type) {
@@ -193,10 +184,6 @@ void Runtime::observe(const obs::Obs& obs, std::string label) {
   label_ = std::move(label);
 }
 
-obs::CausalContext Runtime::context() const noexcept {
-  return tl_step_.buf != nullptr ? tl_step_.ctx : ctx_;
-}
-
 void Runtime::send(NodeId from, NodeId to, Message m) {
   // O(log deg) binary search on the frozen CSR; out-of-range ids (and a
   // never-finalized topology) take the checked Graph path, preserving
@@ -210,10 +197,6 @@ void Runtime::send(NodeId from, NodeId to, Message m) {
         "Runtime::send: nodes are not one-hop neighbors");
   }
   m.from = from;
-  if (ShardBuf* cap = tl_step_.buf) {
-    cap->sends.push_back(CapturedSend{to, m});
-    return;
-  }
   route(from, to, m);
 }
 
@@ -223,17 +206,7 @@ void Runtime::broadcast(NodeId from, Message m) {
   // into the same round: carry the broadcast as one record until then.
   if (!faulty_ && !causal_active_ && frozen_ && from < g_.num_nodes()) {
     if (frozen_->degree(from) == 0) return;
-    if (ShardBuf* cap = tl_step_.buf) {
-      cap->sends.push_back(CapturedSend{kEveryNeighbor, m});
-      return;
-    }
     enqueue(kEveryNeighbor, m, 0);
-    return;
-  }
-  if (ShardBuf* cap = tl_step_.buf) {
-    for (const NodeId to : g_.neighbors(from)) {
-      cap->sends.push_back(CapturedSend{to, m});
-    }
     return;
   }
   for (const NodeId to : g_.neighbors(from)) {
@@ -415,7 +388,7 @@ std::vector<std::pair<std::int32_t, std::size_t>> Runtime::in_flight_by_type()
 obs::CausalContext Runtime::deepest_context(
     std::span<const Message> inbox) const noexcept {
   // Inbox span ids ascend (enqueue order), so "strictly deeper wins"
-  // keeps the smallest id among ties: deterministic at any thread count.
+  // keeps the smallest id among ties.
   obs::CausalContext best;
   for (const Message& m : inbox) {
     if (m.span == obs::kNoSpan) continue;
@@ -459,44 +432,7 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
   // A mail-driven protocol in a fault-free run steps only this round's
   // destinations; otherwise every live node steps.
   const bool mail_only = p.mail_driven() && !faulty_;
-  // Shard layout for parallel rounds, mirroring par::parallel_for's
-  // chunking: chunk c steps positions [c*grain, min(count, (c+1)*grain))
-  // of the round's step list of count nodes. The grain follows n, not
-  // the list, so a round with little mail runs as one inline chunk
-  // instead of waking the pool.
-  const bool parallel = pool_ != nullptr && n > 0;
-  std::size_t grain = 0;
-  if (parallel) {
-    grain = grain_;
-    if (grain == 0) {
-      const std::size_t workers = std::max<std::size_t>(1, pool_->size());
-      grain = std::max(kMinShard, n / (workers * kShardsPerWorker));
-    }
-    const std::size_t chunks = (n - 1) / grain + 1;
-    if (shards_.size() < chunks) shards_.resize(chunks);
-  }
   std::size_t steps = 0;  // step() calls, counted only with metrics on
-
-  // The per-node delivery prelude shared by the serial loop and the
-  // parallel barrier replay: record trace events, close delivered spans
-  // and set the causal context the node's sends are attributed to.
-  const auto deliver_prelude = [&](NodeId v, std::span<const Message> inbox) {
-    if (trace_) {
-      for (const Message& m : inbox) {
-        trace_->push_back(TraceEvent{round_offset_ + rounds_run_, m.from, v,
-                                     m.type, m.a, m.b, m.link, m.seq});
-      }
-    }
-    if (causal) {
-      // Close every delivered span and step under the deepest one —
-      // the whole inbox happened-before anything this step sends.
-      const std::uint64_t round = round_offset_ + rounds_run_;
-      for (const Message& m : inbox) {
-        if (m.span != obs::kNoSpan) causal->on_deliver(m.span, round);
-      }
-      ctx_ = deepest_context(inbox);
-    }
-  };
 
   for (NodeId v = 0; v < n; ++v) {
     if (is_up(v)) p.start(v);
@@ -555,71 +491,28 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
       }
     }
     p.on_round_begin();
-    if (parallel) {
-      // The round's step list: the destinations, or every node id.
-      const std::size_t count = mail_only ? dests.size() : n;
-      const auto node_at = [&](std::size_t i) {
-        return mail_only ? dests[i] : static_cast<NodeId>(i);
-      };
-      const std::size_t chunks = count == 0 ? 0 : (count - 1) / grain + 1;
-      // Phase A (workers): step contiguous shards concurrently. Sends
-      // are captured raw — no queue, channel-RNG or tracer access — and
-      // each worker computes its node's causal context from the
-      // immutable span table.
-      par::parallel_for(
-          pool_, count, grain,
-          [&](std::size_t begin, std::size_t end, std::size_t c) {
-            ShardBuf& buf = shards_[c];
-            buf.clear();
-            tl_step_.buf = &buf;
-            struct Reset {
-              ~Reset() { tl_step_.buf = nullptr; }
-            } reset;
-            for (std::size_t i = begin; i < end; ++i) {
-              const NodeId node = node_at(i);
-              if (!(faulty_ && !up_[node])) {
-                tl_step_.ctx = causal ? deepest_context(arena_.inbox(node))
-                                      : obs::CausalContext{};
-                p.step(node, arena_.inbox(node));
-              }
-              buf.node_end.push_back(
-                  static_cast<std::uint32_t>(buf.sends.size()));
-            }
-          });
-      // Phase B (barrier, host thread): replay outboxes in (node id,
-      // send order) — the serial interleaving of deliveries and sends —
-      // so span allocation, RNG draws and fault accounting are
-      // byte-identical to the serial loop.
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t begin = c * grain;
-        const std::size_t end = std::min(count, begin + grain);
-        const ShardBuf& buf = shards_[c];
-        std::size_t cursor = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const NodeId node = node_at(i);
-          const std::size_t node_end = buf.node_end[i - begin];
-          if (faulty_ && !up_[node]) {
-            cursor = node_end;
-            continue;
-          }
-          deliver_prelude(node, arena_.inbox(node));
-          for (; cursor < node_end; ++cursor) {
-            const CapturedSend& s = buf.sends[cursor];
-            route(s.m.from, s.to, s.m);
-          }
+    // The round's step list: the destinations, or every node id.
+    const std::size_t count = mail_only ? dests.size() : n;
+    for (std::size_t i = 0; i < count; ++i) {
+      const NodeId v = mail_only ? dests[i] : static_cast<NodeId>(i);
+      if (faulty_ && !up_[v]) continue;
+      const std::span<const Message> inbox = arena_.inbox(v);
+      if (trace_) {
+        for (const Message& m : inbox) {
+          trace_->push_back(TraceEvent{round_offset_ + rounds_run_, m.from, v,
+                                       m.type, m.a, m.b, m.link, m.seq});
         }
       }
-    } else if (mail_only) {
-      for (const NodeId v : dests) {
-        deliver_prelude(v, arena_.inbox(v));
-        p.step(v, arena_.inbox(v));
+      if (causal) {
+        // Close every delivered span and step under the deepest one —
+        // the whole inbox happened-before anything this step sends.
+        const std::uint64_t round = round_offset_ + rounds_run_;
+        for (const Message& m : inbox) {
+          if (m.span != obs::kNoSpan) causal->on_deliver(m.span, round);
+        }
+        ctx_ = deepest_context(inbox);
       }
-    } else {
-      for (NodeId v = 0; v < n; ++v) {
-        if (faulty_ && !up_[v]) continue;
-        deliver_prelude(v, arena_.inbox(v));
-        p.step(v, arena_.inbox(v));
-      }
+      p.step(v, inbox);
     }
     // Sends between steps (the next round's on_round_begin) root fresh
     // chains unless a link layer restores a captured context.

@@ -34,18 +34,12 @@
 /// round that delivers it fans it out over the sender's CSR row. Both
 /// are byte-identical to stepping every node and routing every copy.
 ///
-/// Parallel round execution: the round boundary is a global barrier and
-/// step() implementations are node-local, so a round's steps can run
-/// concurrently on a par::ThreadPool (parallelize()). Workers capture
-/// raw sends into per-shard outboxes; at the barrier the outboxes are
-/// replayed through route() in (node id, send order) — exactly the
-/// order the serial loop would have produced — so channel RNG draws,
-/// fault application, causal span ids, trace events and RunStats are
-/// byte-identical to the serial runtime at any thread count.
-
-namespace mcds::par {
-class ThreadPool;
-}  // namespace mcds::par
+/// Every round runs on the thread that called run(): the nodes step in
+/// ascending id and each send is routed as it is made, so channel draws,
+/// causal span ids and trace events follow one fixed order. Most of a
+/// round is inbox staging rather than stepping, and a loop that sharded
+/// the steps over a thread pool measured slower than this one at every
+/// size (DESIGN §13).
 
 namespace mcds::dist {
 
@@ -163,13 +157,7 @@ class Transport {
 /// passes with no messages in flight and idle() holds (quiescence). Each
 /// round steps every live node in ascending id — or, for a mail_driven()
 /// protocol in a fault-free run, only the nodes with mail, in ascending
-/// id.
-///
-/// Threading contract: step(self, ...) may run concurrently with other
-/// nodes' steps when the runtime executes parallel rounds, so it must
-/// only write state owned by `self` (and must not write adjacent bits
-/// of a shared std::vector<bool>). start(), on_round_begin() and
-/// on_round_end() are always invoked from the host thread.
+/// id. Every call comes from the thread that called Runtime::run().
 class Protocol {
  public:
   virtual ~Protocol() = default;
@@ -187,10 +175,10 @@ class Protocol {
   /// valid for the duration of the call.
   virtual void step(NodeId self, std::span<const Message> inbox) = 0;
 
-  /// Called once at the end of each round, after every step() and after
-  /// captured sends have been routed — the round barrier. Protocols
-  /// that defer cross-node bookkeeping from step() (ReliableLink's
-  /// pending-list merges) integrate it here, on the host thread.
+  /// Called once at the end of each round, after every step() and
+  /// before idle() is asked. Lets a protocol apply bookkeeping it
+  /// batched over the round's steps (ReliableLink erases the packets a
+  /// round acked in one pass).
   virtual void on_round_end() {}
 
   /// Quiescence hook: the runtime keeps executing rounds while messages
@@ -224,18 +212,6 @@ class Runtime final : public Transport {
 
   void send(NodeId from, NodeId to, Message m) override;
   void broadcast(NodeId from, Message m) override;
-
-  /// Switches run() to parallel round execution on \p pool (nullptr
-  /// restores the serial loop). The round's step list (live nodes, or
-  /// the nodes with mail in a mail-driven run) is partitioned into
-  /// contiguous shards of \p grain nodes (0 = auto) stepped
-  /// concurrently; outboxes are merged at the barrier in (node id, send
-  /// order), so the execution is byte-identical to the serial loop at
-  /// any thread count. The pool must outlive every run().
-  void parallelize(par::ThreadPool* pool, std::size_t grain = 0) noexcept {
-    pool_ = pool;
-    grain_ = grain;
-  }
 
   /// Runs \p p until no messages are in flight and p.idle(). \p
   /// max_rounds guards against livelock; exceeding it throws
@@ -281,9 +257,8 @@ class Runtime final : public Transport {
   /// context between steps. Link layers that resend a message later
   /// (ReliableLink retransmission timers) capture the context at first
   /// post and restore it around the retransmit so retries extend the
-  /// original chain instead of starting a new one. Thread-safe during
-  /// parallel steps (each worker sees its stepping node's context).
-  [[nodiscard]] obs::CausalContext context() const noexcept;
+  /// original chain instead of starting a new one.
+  [[nodiscard]] obs::CausalContext context() const noexcept { return ctx_; }
   void set_context(const obs::CausalContext& ctx) noexcept { ctx_ = ctx; }
 
  private:
@@ -342,33 +317,6 @@ class Runtime final : public Transport {
     std::vector<NodeId> dests_;
   };
 
-  /// A send captured during a parallel step, replayed at the barrier.
-  struct CapturedSend {
-    NodeId to = 0;  ///< or kEveryNeighbor for a broadcast record
-    Message m;      ///< from already stamped
-  };
-
-  /// Per-shard outbox: sends in step order, plus the cumulative send
-  /// count after each node of the shard (robust node boundaries even if
-  /// a protocol sends with from != self).
-  struct ShardBuf {
-    std::vector<CapturedSend> sends;
-    std::vector<std::uint32_t> node_end;
-
-    void clear() noexcept {
-      sends.clear();
-      node_end.clear();
-    }
-  };
-
-  /// Worker-side capture target + causal context of the node being
-  /// stepped. Null buf = direct routing (serial loop / host thread).
-  struct StepCtx {
-    ShardBuf* buf = nullptr;
-    obs::CausalContext ctx;
-  };
-  static thread_local StepCtx tl_step_;
-
   void route(NodeId from, NodeId to, const Message& m);
   void enqueue(NodeId to, const Message& m, std::size_t delay);
   /// Deliveries an entry stands for: 1, or the sender's degree for a
@@ -412,9 +360,6 @@ class Runtime final : public Transport {
   FaultStats fstats_;
   std::vector<TraceEvent>* trace_ = nullptr;
   std::vector<std::size_t> delays_scratch_;
-  par::ThreadPool* pool_ = nullptr;  ///< non-null = parallel rounds
-  std::size_t grain_ = 0;            ///< shard size (0 = auto)
-  std::vector<ShardBuf> shards_;     ///< recycled per-chunk outboxes
   obs::Obs obs_;        ///< null sinks unless observe() was called
   std::string label_;   ///< protocol label for spans/metrics/diagnostics
   obs::CausalContext ctx_;  ///< causal context of the current step

@@ -91,7 +91,7 @@ template <class SG>
   }
   if (g.is_connected(dominators)) return M{0};
 
-  detail::ConnectorSolver<SG> solver{g, dominators};
+  detail::ConnectorSolver<SG> solver{g, dominators, {}};
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     solver.max_degree = std::max(solver.max_degree,
                                  popcount(g.neighbors(v)));

@@ -154,12 +154,22 @@ std::string format_trace_tail(const TraceRecorder& tr, std::size_t n) {
   std::string out = "last trace events:";
   for (std::size_t i = start; i < records.size(); ++i) {
     const TraceRecord& r = records[i];
-    out += "\n  ts=" + std::to_string(r.ts) + " " + kind_tag(r.kind) + " " +
-           tr.name(r.name);
+    // Appends, not "literal" + std::string&& chains: at -O3 those trip
+    // GCC 12's -Wrestrict false positive.
+    out += "\n  ts=";
+    out += std::to_string(r.ts);
+    out += ' ';
+    out += kind_tag(r.kind);
+    out += ' ';
+    out += tr.name(r.name);
     if (r.kind == RecordKind::kCounter || r.kind == RecordKind::kInstant) {
-      out += "=" + std::to_string(r.value);
+      out += '=';
+      out += std::to_string(r.value);
     }
-    if (r.tid != 0) out += " tid=" + std::to_string(r.tid);
+    if (r.tid != 0) {
+      out += " tid=";
+      out += std::to_string(r.tid);
+    }
   }
   return out;
 }

@@ -1,17 +1,14 @@
-#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/validate.hpp"
-#include "par/thread_pool.hpp"
 #include "dist/alzoubi_protocol.hpp"
 #include "dist/fault.hpp"
 #include "dist/greedy_protocol.hpp"
@@ -108,69 +105,6 @@ std::uint64_t base_seed() {
     return std::strtoull(env, nullptr, 10);
   }
   return 0;
-}
-
-// CHAOS_THREADS=N routes every schedule through the parallel round
-// engine on an N-worker pool (unset/0 = the serial runtime). The pool
-// is shared across cases — exactly how a long fuzz session would run.
-mcds::par::ThreadPool* chaos_pool() {
-  static const long n = [] {
-    const char* env = std::getenv("CHAOS_THREADS");
-    return env != nullptr ? std::strtol(env, nullptr, 10) : 0;
-  }();
-  if (n <= 0) return nullptr;
-  static mcds::par::ThreadPool pool(static_cast<std::size_t>(n));
-  return &pool;
-}
-
-// Runs one chaos leg; under CHAOS_THREADS, a failing leg is replayed on
-// the serial (golden) runtime before anything is reported, so a red
-// grid either shows a real thread-count-independent bug (the serial
-// verdict) or states explicitly that only the parallel engine diverged
-// — the seed to hand to the determinism suite, not to ddmin.
-void run_with_replay(const std::string& tag,
-                     const std::function<void(const RunConfig&)>& leg,
-                     RunConfig cfg) {
-  mcds::par::ThreadPool* pool = chaos_pool();
-  if (pool == nullptr) {
-    leg(cfg);
-    return;
-  }
-  cfg.pool = pool;
-  testing::TestPartResultArray par_failures;
-  {
-    testing::ScopedFakeTestPartResultReporter reporter(
-        testing::ScopedFakeTestPartResultReporter::
-            INTERCEPT_ONLY_CURRENT_THREAD,
-        &par_failures);
-    leg(cfg);
-  }
-  if (par_failures.size() == 0) return;
-  cfg.pool = nullptr;
-  testing::TestPartResultArray serial_failures;
-  {
-    testing::ScopedFakeTestPartResultReporter reporter(
-        testing::ScopedFakeTestPartResultReporter::
-            INTERCEPT_ONLY_CURRENT_THREAD,
-        &serial_failures);
-    leg(cfg);
-  }
-  for (int i = 0; i < serial_failures.size(); ++i) {
-    const auto& r = serial_failures.GetTestPartResult(i);
-    ADD_FAILURE_AT(r.file_name(), r.line_number())
-        << r.message() << "\n(serial replay of a parallel failure)";
-  }
-  if (serial_failures.size() == 0) {
-    for (int i = 0; i < par_failures.size(); ++i) {
-      const auto& r = par_failures.GetTestPartResult(i);
-      ADD_FAILURE_AT(r.file_name(), r.line_number()) << r.message();
-    }
-    ADD_FAILURE() << tag << ": fails ONLY under CHAOS_THREADS="
-                  << pool->size()
-                  << " — the parallel engine diverged from the serial "
-                     "runtime; reproduce with the ParDist determinism "
-                     "suite, not ddmin";
-  }
 }
 
 struct Baseline {
@@ -277,38 +211,35 @@ TEST(Chaos, RandomizedFaultGrid) {
 
       const Baseline& ideal = baseline(gseed, algo, g);
       ++pairs;
-      const auto leg = [&](const RunConfig& run_cfg) {
-        try {
-          switch (algo) {
-            case Algo::kMis: {
-              const auto r =
-                  elect_mis(g, std::vector<NodeId>(g.num_nodes(), 0), run_cfg);
-              check_envelope(tag, fc.reliable, r.stats, ideal.stats);
-              // MIS election is confluent: a complete reliable crash-free
-              // run must reproduce the fault-free outcome exactly.
-              if (fc.reliable && fc.crashes == 0 && r.complete) {
-                EXPECT_EQ(r.mis, ideal.mis) << tag;
-              }
-              break;
+      try {
+        switch (algo) {
+          case Algo::kMis: {
+            const auto r =
+                elect_mis(g, std::vector<NodeId>(g.num_nodes(), 0), cfg);
+            check_envelope(tag, fc.reliable, r.stats, ideal.stats);
+            // MIS election is confluent: a complete reliable crash-free
+            // run must reproduce the fault-free outcome exactly.
+            if (fc.reliable && fc.crashes == 0 && r.complete) {
+              EXPECT_EQ(r.mis, ideal.mis) << tag;
             }
-            case Algo::kAlzoubi: {
-              const auto r = distributed_alzoubi_cds(g, run_cfg);
-              check_envelope(tag, fc.reliable, r.total, ideal.stats);
-              check_healing(tag, g, plan, r.cds);
-              break;
-            }
-            case Algo::kGreedy: {
-              const auto r = distributed_greedy_cds(g, run_cfg);
-              check_envelope(tag, fc.reliable, r.total, ideal.stats);
-              check_healing(tag, g, plan, r.cds);
-              break;
-            }
+            break;
           }
-        } catch (const RoundLimitError& e) {
-          ADD_FAILURE() << tag << " failed to terminate: " << e.what();
+          case Algo::kAlzoubi: {
+            const auto r = distributed_alzoubi_cds(g, cfg);
+            check_envelope(tag, fc.reliable, r.total, ideal.stats);
+            check_healing(tag, g, plan, r.cds);
+            break;
+          }
+          case Algo::kGreedy: {
+            const auto r = distributed_greedy_cds(g, cfg);
+            check_envelope(tag, fc.reliable, r.total, ideal.stats);
+            check_healing(tag, g, plan, r.cds);
+            break;
+          }
         }
-      };
-      run_with_replay(tag, leg, cfg);
+      } catch (const RoundLimitError& e) {
+        ADD_FAILURE() << tag << " failed to terminate: " << e.what();
+      }
     }
   }
   EXPECT_GE(pairs, 200u);  // the acceptance floor for the grid size
@@ -327,7 +258,6 @@ TEST(Chaos, ReliableLegsComplete) {
     cfg.plan.link = {0.3, 0.2, 1};
     cfg.plan.seed = gseed;
     cfg.max_rounds = kMaxRounds;
-    cfg.pool = chaos_pool();
     ++runs;
     const auto r = elect_mis(g, std::vector<NodeId>(g.num_nodes(), 0), cfg);
     if (r.complete) ++complete;

@@ -18,7 +18,6 @@
 #include "dist/fault_json.hpp"
 #include "dist/maintenance.hpp"
 #include "graph/traversal.hpp"
-#include "par/thread_pool.hpp"
 #include "sim/rng.hpp"
 #include "udg/instance.hpp"
 
@@ -54,19 +53,6 @@ std::uint64_t base_seed() {
     return std::strtoull(env, nullptr, 10);
   }
   return 1;
-}
-
-// CHAOS_THREADS=N runs the suite's runtime legs (the accrual detector —
-// the maintenance scenarios are host-side and never touch the round
-// engine) on an N-worker pool; unset/0 keeps the serial runtime.
-mcds::par::ThreadPool* chaos_pool() {
-  static const long n = [] {
-    const char* env = std::getenv("CHAOS_THREADS");
-    return env != nullptr ? std::strtol(env, nullptr, 10) : 0;
-  }();
-  if (n <= 0) return nullptr;
-  static mcds::par::ThreadPool pool(static_cast<std::size_t>(n));
-  return &pool;
 }
 
 Graph chaos_udg(std::uint64_t seed) {
@@ -415,25 +401,12 @@ TEST(PartitionChaos, RandomizedPartitionSchedules) {
     if (i % 12 == 0 && plan.link.clean()) {
       RunConfig cfg;
       cfg.plan = plan;
-      cfg.pool = chaos_pool();
       FailureDetectorParams params;
       params.rounds = 90;
       const auto truth_up = plan.up_after(g.num_nodes(), SIZE_MAX);
       const auto truth_groups = plan.groups_at(g.num_nodes(), SIZE_MAX);
-      auto det = detect_failures(g, cfg, params, truth_up, truth_groups);
-      if (!det.converged_round.has_value() && cfg.pool != nullptr) {
-        // Serial replay before reporting (and before any shrinking
-        // downstream): distinguishes a real detector bug — the serial,
-        // golden verdict below — from a parallel-engine divergence.
-        RunConfig serial = cfg;
-        serial.pool = nullptr;
-        auto sdet = detect_failures(g, serial, params, truth_up, truth_groups);
-        EXPECT_EQ(sdet.converged_round.has_value(),
-                  det.converged_round.has_value())
-            << "detector outcome depends on CHAOS_THREADS="
-            << cfg.pool->size() << " — the parallel engine diverged";
-        det = std::move(sdet);
-      }
+      const auto det =
+          detect_failures(g, cfg, params, truth_up, truth_groups);
       EXPECT_TRUE(det.converged_round.has_value())
           << "detector did not converge to the ground-truth suspect sets";
       ++detector_legs;

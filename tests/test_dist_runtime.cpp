@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "par/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace mcds::dist {
@@ -271,11 +270,9 @@ class Broadcaster final : public Protocol {
 
 TEST(Runtime, BroadcastRecordsKeepRoundLimitDiagnostics) {
   const Graph g = test::make_path(10);
-  par::ThreadPool pool(2);
-  const auto trip = [&](bool faulty, par::ThreadPool* workers) {
+  const auto trip = [&](bool faulty) {
     Runtime rt = faulty ? Runtime(g, noop_plan()) : Runtime(g);
     rt.observe(obs::Obs{}, "broadcaster");
-    rt.parallelize(workers, /*grain=*/1);
     Broadcaster p(rt);
     try {
       (void)rt.run(p, /*max_rounds=*/4);
@@ -285,20 +282,17 @@ TEST(Runtime, BroadcastRecordsKeepRoundLimitDiagnostics) {
     ADD_FAILURE() << "round guard did not trip";
     return RoundLimitError("", 0, 0, {}, {});
   };
-  const RoundLimitError general = trip(/*faulty=*/true, nullptr);
+  const RoundLimitError general = trip(/*faulty=*/true);
   EXPECT_EQ(general.rounds_run(), 4u);
   EXPECT_GT(general.in_flight(), 0u);
   EXPECT_FALSE(general.pending_nodes().empty());
   EXPECT_LT(general.pending_nodes().size(), g.num_nodes());
   ASSERT_EQ(general.in_flight_by_type().size(), 2u);
-  for (par::ThreadPool* workers : {static_cast<par::ThreadPool*>(nullptr),
-                                   &pool}) {
-    const RoundLimitError fast = trip(/*faulty=*/false, workers);
-    EXPECT_EQ(std::string(fast.what()), std::string(general.what()));
-    EXPECT_EQ(fast.in_flight(), general.in_flight());
-    EXPECT_EQ(fast.pending_nodes(), general.pending_nodes());
-    EXPECT_EQ(fast.in_flight_by_type(), general.in_flight_by_type());
-  }
+  const RoundLimitError fast = trip(/*faulty=*/false);
+  EXPECT_EQ(std::string(fast.what()), std::string(general.what()));
+  EXPECT_EQ(fast.in_flight(), general.in_flight());
+  EXPECT_EQ(fast.pending_nodes(), general.pending_nodes());
+  EXPECT_EQ(fast.in_flight_by_type(), general.in_flight_by_type());
 }
 
 }  // namespace

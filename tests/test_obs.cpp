@@ -22,7 +22,6 @@
 #include "dist/runtime.hpp"
 #include "obs/obs.hpp"
 #include "obs/timer.hpp"
-#include "par/thread_pool.hpp"
 #include "udg/instance.hpp"
 
 // Allocation counter fed by the replaced global operator new in
@@ -348,21 +347,6 @@ TEST(RuntimeObs, FlushesPerProtocolCountersAndRunStatsBreakdown) {
   EXPECT_LT(counters.at("bfs_tree.steps").value(), n * r.tree.stats.rounds);
   EXPECT_EQ(counters.at("connector_selection.steps").value(),
             n * r.connectors.stats.rounds);
-  // They repeat exactly on a pooled run.
-  obs::MetricsRegistry pooled_reg;
-  par::ThreadPool pool(2);
-  dist::RunConfig pooled_cfg;
-  pooled_cfg.obs.metrics = &pooled_reg;
-  pooled_cfg.pool = &pool;
-  pooled_cfg.shard_grain = 3;
-  (void)dist::distributed_waf_cds(inst.graph, pooled_cfg);
-  for (const char* phase : {"leader_election", "bfs_tree", "mis_election",
-                            "connector_selection"}) {
-    const std::string name = std::string(phase) + ".steps";
-    EXPECT_EQ(pooled_reg.counters().at(name).value(),
-              counters.at(name).value())
-        << name;
-  }
 
   // Per-type breakdown sums to the message total, and per_round to both.
   ASSERT_FALSE(r.total.by_type.empty());

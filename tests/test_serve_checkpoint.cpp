@@ -141,7 +141,7 @@ TEST(ServeCheckpoint, WrongVersionHeaderIsRefused) {
   bytes[8] = static_cast<char>(kCheckpointVersion + 1);  // version u32 LSB
   write_file(path, bytes);
   try {
-    load_checkpoint(path);
+    (void)load_checkpoint(path);
     FAIL() << "version skew must throw";
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
