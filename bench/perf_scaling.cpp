@@ -218,14 +218,6 @@ void BM_Stojmenovic(benchmark::State& state) {
 }
 BENCHMARK(BM_Stojmenovic)->Range(64, 1024);
 
-void BM_DistributedWaf(benchmark::State& state) {
-  const auto inst = make_instance(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dist::distributed_waf_cds(inst.graph));
-  }
-}
-BENCHMARK(BM_DistributedWaf)->Range(64, 512);
-
 // Fault-layer overhead microbenchmarks. BM_FaultFreeRuntime is the
 // unchanged ideal path; BM_FaultInjectedRuntime pays the channel-model
 // sampling on every send; BM_ReliableWaf adds the ack/retransmission

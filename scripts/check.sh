@@ -2,6 +2,9 @@
 # Full verification: configure, build, run the test suite, then every
 # reproduction bench. Fails fast on any error; a bench exiting non-zero
 # means a *proven* inequality of the paper was violated on some instance.
+# The google-benchmark binary perf_scaling is skipped, as in CI: it
+# asserts nothing, and unfiltered it builds every row's input up to the
+# n = 10^6 BM_Dist* fields (run it through scripts/bench_snapshot.sh).
 #
 # SANITIZE=1 builds into build-asan with AddressSanitizer + UBSan
 # (-DMCDS_SANITIZE=ON) and runs the test suite only — the reproduction
@@ -140,7 +143,7 @@ fi
 
 status=0
 for bench in "$BUILD_DIR"/bench/*; do
-  if [[ -f "$bench" && -x "$bench" ]]; then
+  if [[ -f "$bench" && -x "$bench" && "$bench" != *perf_scaling ]]; then
     echo
     "$bench" || status=1
   fi

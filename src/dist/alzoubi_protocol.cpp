@@ -134,36 +134,6 @@ void assemble(const Graph& g, const std::vector<std::uint8_t>& conn,
 
 }  // namespace
 
-AlzoubiResult distributed_alzoubi_cds(const Graph& g) {
-  if (g.num_nodes() == 0) {
-    throw std::invalid_argument("distributed_alzoubi_cds: empty graph");
-  }
-  AlzoubiResult out;
-  if (g.num_nodes() == 1) {
-    out.mis.in_mis = {true};
-    out.mis.mis = {0};
-    out.cds = {0};
-    return out;
-  }
-  if (!graph::is_connected(g)) {
-    throw std::invalid_argument(
-        "distributed_alzoubi_cds: graph must be connected");
-  }
-
-  // Phase 1: id-rank MIS (all levels equal -> rank is the node id).
-  const std::vector<NodeId> flat_levels(g.num_nodes(), 0);
-  out.mis = elect_mis(g, flat_levels);
-  out.mis_stats = out.mis.stats;
-
-  // Phase 2: 3-hop probes + join paths.
-  Runtime rt(g);
-  ConnectProtocol protocol(rt, out.mis.in_mis);
-  out.connect_stats = rt.run(protocol);
-
-  assemble(g, protocol.connectors(), out);
-  return out;
-}
-
 AlzoubiResult distributed_alzoubi_cds(const Graph& g, const RunConfig& cfg,
                                       std::size_t round_offset) {
   if (g.num_nodes() == 0) {

@@ -25,16 +25,13 @@ struct AlzoubiResult {
   bool complete = true;  ///< the MIS phase completed on all live nodes
 };
 
-/// Runs the protocol on \p g. Precondition: g connected with >= 1 node.
-[[nodiscard]] AlzoubiResult distributed_alzoubi_cds(const Graph& g);
-
-/// Fault-aware overload: both phases run under \p cfg on one fault
-/// timeline. complete mirrors the MIS phase; validity of the assembled
-/// cds under faults is the caller's check (core::check_cds on the
-/// survivor graph).
-[[nodiscard]] AlzoubiResult distributed_alzoubi_cds(const Graph& g,
-                                                    const RunConfig& cfg,
-                                                    std::size_t round_offset =
-                                                        0);
+/// Runs the protocol on \p g under \p cfg; both phases share one fault
+/// timeline starting at \p round_offset. complete mirrors the MIS
+/// phase; validity of the assembled cds under faults is the caller's
+/// check (core::check_cds on the survivor graph). Precondition: g
+/// connected with >= 1 node (std::invalid_argument otherwise, under any
+/// plan).
+[[nodiscard]] AlzoubiResult distributed_alzoubi_cds(
+    const Graph& g, const RunConfig& cfg = {}, std::size_t round_offset = 0);
 
 }  // namespace mcds::dist

@@ -1,6 +1,5 @@
 #include "dist/bfs_tree.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "dist/reliable_link.hpp"
@@ -57,23 +56,6 @@ class BfsProtocol final : public Protocol {
 
 }  // namespace
 
-BfsTreeResult build_bfs_tree(const Graph& g, NodeId root) {
-  if (root >= g.num_nodes()) {
-    throw std::invalid_argument("build_bfs_tree: root out of range");
-  }
-  Runtime rt(g);
-  BfsProtocol protocol(rt, root);
-  BfsTreeResult out;
-  out.root = root;
-  out.stats = rt.run(protocol);
-  out.parent = protocol.parents();
-  out.level = protocol.levels();
-  if (std::count(out.level.begin(), out.level.end(), graph::kNoNode) > 0) {
-    throw std::invalid_argument("build_bfs_tree: topology is disconnected");
-  }
-  return out;
-}
-
 BfsTreeResult build_bfs_tree(const Graph& g, NodeId root, const RunConfig& cfg,
                              std::size_t round_offset) {
   if (root >= g.num_nodes()) {
@@ -90,6 +72,9 @@ BfsTreeResult build_bfs_tree(const Graph& g, NodeId root, const RunConfig& cfg,
     if (out.level[v] == graph::kNoNode && h.runtime().is_up(v)) {
       out.complete = false;
     }
+  }
+  if (!out.complete && cfg.plan.trivial()) {
+    throw std::invalid_argument("build_bfs_tree: topology is disconnected");
   }
   return out;
 }

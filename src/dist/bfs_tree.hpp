@@ -19,16 +19,16 @@ struct BfsTreeResult {
   bool complete = true;  ///< every live node adopted a level
 };
 
-/// Builds the BFS tree of \p g rooted at \p root. Precondition:
-/// g connected, root valid.
-[[nodiscard]] BfsTreeResult build_bfs_tree(const Graph& g, NodeId root);
-
-/// Fault-aware overload: unreached live nodes (lost offers, crashed
-/// subtrees) keep level == graph::kNoNode and clear complete instead of
-/// throwing. Under drops the adopted levels form a spanning tree of the
-/// reached region but need not be shortest-path.
+/// Builds the BFS tree of \p g rooted at \p root under \p cfg, with
+/// \p round_offset placing it on the plan's global timeline. A live
+/// node left unreached throws std::invalid_argument under a trivial plan
+/// (the topology is disconnected); under a faulty plan (lost offers,
+/// crashed subtrees) it keeps level == graph::kNoNode and clears
+/// complete instead. Under drops the adopted levels form a spanning tree
+/// of the reached region but need not be shortest-path. Precondition:
+/// root valid.
 [[nodiscard]] BfsTreeResult build_bfs_tree(const Graph& g, NodeId root,
-                                           const RunConfig& cfg,
+                                           const RunConfig& cfg = {},
                                            std::size_t round_offset = 0);
 
 }  // namespace mcds::dist

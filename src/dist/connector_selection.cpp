@@ -21,13 +21,13 @@ class ConnectorProtocol final : public Protocol {
   // The protocol is round-indexed: reports are in after one delivery
   // window, s's announcement after three. phase_len is that window — 1
   // in the synchronous model, reliable_delivery_bound() under a
-  // reliable link. strict preserves the fault-free contract (a leader
-  // hearing no reports is a logic error); non-strict runs fizzle
-  // instead, leaving s unelected.
+  // reliable link. strict holds under a trivial plan, where a leader
+  // hearing no reports is a logic error; under a faulty plan the run
+  // fizzles instead, leaving s unelected.
   ConnectorProtocol(Transport& rt, NodeId leader,
                     const std::vector<NodeId>& parent,
-                    const std::vector<bool>& in_mis,
-                    std::size_t phase_len = 1, bool strict = true)
+                    const std::vector<bool>& in_mis, std::size_t phase_len,
+                    bool strict)
       : rt_(rt),
         leader_(leader),
         parent_(parent),
@@ -130,8 +130,8 @@ class ConnectorProtocol final : public Protocol {
   std::int64_t best_count_ = -1;
   NodeId s_ = graph::kNoNode;
   std::size_t round_ = 0;
-  std::size_t phase_len_ = 1;
-  bool strict_ = true;
+  std::size_t phase_len_;
+  bool strict_;
 };
 
 void assemble(const Graph& g, const ConnectorProtocol& protocol,
@@ -148,23 +148,6 @@ void assemble(const Graph& g, const ConnectorProtocol& protocol,
 
 ConnectorResult select_connectors(const Graph& g, NodeId leader,
                                   const std::vector<NodeId>& parent,
-                                  const std::vector<bool>& in_mis) {
-  if (g.num_nodes() < 2) {
-    throw std::invalid_argument("select_connectors: need >= 2 nodes");
-  }
-  if (parent.size() != g.num_nodes() || in_mis.size() != g.num_nodes()) {
-    throw std::invalid_argument("select_connectors: input size mismatch");
-  }
-  Runtime rt(g);
-  ConnectorProtocol protocol(rt, leader, parent, in_mis);
-  ConnectorResult out;
-  out.stats = rt.run(protocol);
-  assemble(g, protocol, in_mis, out);
-  return out;
-}
-
-ConnectorResult select_connectors(const Graph& g, NodeId leader,
-                                  const std::vector<NodeId>& parent,
                                   const std::vector<bool>& in_mis,
                                   const RunConfig& cfg,
                                   std::size_t round_offset) {
@@ -178,7 +161,7 @@ ConnectorResult select_connectors(const Graph& g, NodeId leader,
   const std::size_t phase_len =
       cfg.reliable ? reliable_delivery_bound(cfg.link) : 1;
   ConnectorProtocol protocol(h.net(), leader, parent, in_mis, phase_len,
-                             /*strict=*/false);
+                             /*strict=*/cfg.plan.trivial());
   ConnectorResult out;
   out.stats = h.run(protocol);
   assemble(g, protocol, in_mis, out);

@@ -4,35 +4,6 @@
 
 namespace mcds::dist {
 
-DistributedCdsResult distributed_waf_cds(const Graph& g) {
-  if (g.num_nodes() == 0) {
-    throw std::invalid_argument("distributed_waf_cds: empty graph");
-  }
-  DistributedCdsResult out;
-  if (g.num_nodes() == 1) {
-    out.cds = {0};
-    out.mis.in_mis = {true};
-    out.mis.mis = {0};
-    return out;
-  }
-
-  const LeaderResult leader = elect_leader(g);
-  out.leader = leader.leader;
-  out.leader_stats = leader.stats;
-
-  out.tree = build_bfs_tree(g, out.leader);
-  out.mis = elect_mis(g, out.tree.level);
-  out.connectors =
-      select_connectors(g, out.leader, out.tree.parent, out.mis.in_mis);
-  out.cds = out.connectors.cds;
-
-  out.total = leader.stats;
-  out.total += out.tree.stats;
-  out.total += out.mis.stats;
-  out.total += out.connectors.stats;
-  return out;
-}
-
 DistributedCdsResult distributed_waf_cds(const Graph& g, const RunConfig& cfg,
                                          std::size_t round_offset) {
   if (g.num_nodes() == 0) {

@@ -26,18 +26,15 @@ struct DistributedCdsResult {
   bool complete = true;  ///< every phase completed on all live nodes
 };
 
-/// Runs the full distributed construction on \p g. Precondition:
-/// g connected with >= 1 node. For a single node the CDS is that node
-/// and no messages are exchanged.
-[[nodiscard]] DistributedCdsResult distributed_waf_cds(const Graph& g);
-
-/// Fault-aware overload: the four phases run consecutively on one fault
-/// timeline (each phase's runtime picks up where the previous one
-/// stopped). complete ANDs the per-phase flags; under faults the
-/// assembled cds must be validated by the caller.
-[[nodiscard]] DistributedCdsResult distributed_waf_cds(const Graph& g,
-                                                       const RunConfig& cfg,
-                                                       std::size_t
-                                                           round_offset = 0);
+/// Runs the full distributed construction on \p g under \p cfg. The
+/// four phases run consecutively on one fault timeline starting at \p
+/// round_offset (each phase's runtime picks up where the previous one
+/// stopped), and complete ANDs the per-phase flags. Under a trivial plan
+/// a disconnected topology throws std::invalid_argument (from the leader
+/// election); under a faulty plan the assembled cds must be validated by
+/// the caller. For a single node the CDS is that node and no messages
+/// are exchanged. Precondition: >= 1 node.
+[[nodiscard]] DistributedCdsResult distributed_waf_cds(
+    const Graph& g, const RunConfig& cfg = {}, std::size_t round_offset = 0);
 
 }  // namespace mcds::dist

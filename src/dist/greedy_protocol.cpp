@@ -80,7 +80,7 @@ class BidProtocol final : public Protocol {
   static constexpr std::int32_t kJoin = 3;
 
   BidProtocol(Transport& rt, const std::vector<bool>& member,
-              const std::vector<NodeId>& label, std::size_t phase_len = 1)
+              const std::vector<NodeId>& label, std::size_t phase_len)
       : rt_(rt),
         member_(member),
         label_(label),
@@ -192,75 +192,10 @@ class BidProtocol final : public Protocol {
   std::vector<std::vector<NodeId>> seen_bidders_;
   std::vector<std::uint8_t> won_;  ///< byte per node: joined this epoch
   std::size_t round_ = 0;
-  std::size_t phase_len_ = 1;
+  std::size_t phase_len_;
 };
 
 }  // namespace
-
-DistGreedyResult distributed_greedy_cds(const Graph& g) {
-  if (g.num_nodes() == 0) {
-    throw std::invalid_argument("distributed_greedy_cds: empty graph");
-  }
-  DistGreedyResult out;
-  if (g.num_nodes() == 1) {
-    out.mis.in_mis = {true};
-    out.mis.mis = {0};
-    out.cds = {0};
-    return out;
-  }
-
-  const LeaderResult leader = elect_leader(g);
-  out.total = leader.stats;
-  const BfsTreeResult tree = build_bfs_tree(g, leader.leader);
-  out.total += tree.stats;
-  out.mis = elect_mis(g, tree.level);
-  out.total += out.mis.stats;
-
-  std::vector<bool> member = out.mis.in_mis;
-  // Labels are node ids, so distinct-label counting is a stamped scan
-  // over one reusable array instead of a per-epoch std::set.
-  std::vector<std::size_t> label_stamp(g.num_nodes(), 0);
-  const std::size_t max_epochs = out.mis.mis.size();  // q drops each epoch
-  for (std::size_t epoch = 0; epoch < max_epochs; ++epoch) {
-    // Phase A: component labels.
-    Runtime label_rt(g);
-    LabelProtocol labels(label_rt, member);
-    out.total += label_rt.run(labels);
-    std::size_t distinct = 0;
-    const std::size_t stamp = epoch + 1;
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (!member[v]) continue;
-      const NodeId lbl = labels.labels()[v];
-      if (label_stamp[lbl] != stamp) {
-        label_stamp[lbl] = stamp;
-        ++distinct;
-      }
-    }
-    if (distinct <= 1) break;
-
-    // Phase B: bidding.
-    ++out.epochs;
-    Runtime bid_rt(g);
-    BidProtocol bids(bid_rt, member, labels.labels());
-    out.total += bid_rt.run(bids);
-    const std::vector<NodeId> winners = bids.winners();
-    if (winners.empty()) {
-      throw std::logic_error(
-          "distributed_greedy_cds: no winner although q > 1 (Lemma 9 "
-          "guarantees the global maximum bidder wins)");
-    }
-    for (const NodeId w : winners) {
-      member[w] = true;
-      out.connectors.push_back(w);
-    }
-  }
-
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (member[v]) out.cds.push_back(v);
-  }
-  std::sort(out.connectors.begin(), out.connectors.end());
-  return out;
-}
 
 DistGreedyResult distributed_greedy_cds(const Graph& g, const RunConfig& cfg,
                                         std::size_t round_offset) {
@@ -296,7 +231,10 @@ DistGreedyResult distributed_greedy_cds(const Graph& g, const RunConfig& cfg,
   const std::size_t phase_len =
       cfg.reliable ? reliable_delivery_bound(cfg.link) : 1;
   std::vector<bool> member = out.mis.in_mis;
+  // Labels are node ids, so distinct-label counting is a stamped scan
+  // over one reusable array instead of a per-epoch std::set.
   std::vector<std::size_t> label_stamp(g.num_nodes(), 0);
+  // q drops each fault-free epoch; the cap also bounds faulty runs.
   const std::size_t max_epochs = std::max<std::size_t>(out.mis.mis.size(), 1);
   for (std::size_t epoch = 0; epoch < max_epochs; ++epoch) {
     // Phase A: component labels.
@@ -326,9 +264,15 @@ DistGreedyResult distributed_greedy_cds(const Graph& g, const RunConfig& cfg,
     offset += bid_stats.rounds;
     const std::vector<NodeId> winners = bids.winners();
     if (winners.empty()) {
-      // Lemma 9's guarantee needs every bid delivered; with losses the
-      // epoch can come up dry. The component count cannot increase, so
+      // Lemma 9 guarantees a winner when every bid is delivered, so a
+      // dry epoch under a trivial plan is a logic error. With losses the
+      // epoch can come up dry; the component count cannot increase, so
       // stopping here is safe — the caller repairs what is missing.
+      if (cfg.plan.trivial()) {
+        throw std::logic_error(
+            "distributed_greedy_cds: no winner although q > 1 (Lemma 9 "
+            "guarantees the global maximum bidder wins)");
+      }
       out.complete = false;
       break;
     }

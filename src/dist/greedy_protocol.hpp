@@ -32,19 +32,17 @@ struct DistGreedyResult {
   bool complete = true;  ///< every phase completed on all live nodes
 };
 
-/// Runs the protocol on \p g: leaderless rank MIS (by BFS level from the
-/// min-id node, to mirror the centralized phase 1) followed by the
-/// localized greedy epochs. Precondition: g connected with >= 1 node.
-[[nodiscard]] DistGreedyResult distributed_greedy_cds(const Graph& g);
-
-/// Fault-aware overload: all phases (leader, BFS, MIS, every epoch's
-/// label + bid protocols) share one fault timeline. An epoch that
-/// produces no winner — possible once messages are lost — ends the
-/// construction with complete = false instead of throwing; termination
-/// is always bounded by the epoch cap.
-[[nodiscard]] DistGreedyResult distributed_greedy_cds(const Graph& g,
-                                                      const RunConfig& cfg,
-                                                      std::size_t round_offset =
-                                                          0);
+/// Runs the protocol on \p g under \p cfg: leaderless rank MIS (by BFS
+/// level from the min-id node, to mirror the centralized phase 1)
+/// followed by the localized greedy epochs. All phases (leader, BFS,
+/// MIS, every epoch's label + bid protocols) share one fault timeline
+/// starting at \p round_offset, and termination is always bounded by
+/// the epoch cap. Under a trivial plan a disconnected topology throws
+/// std::invalid_argument, and an epoch without a winner contradicts
+/// Lemma 9 and throws std::logic_error. Under a faulty plan such an
+/// epoch (possible once bids are lost) ends the construction with
+/// complete = false. Precondition: >= 1 node.
+[[nodiscard]] DistGreedyResult distributed_greedy_cds(
+    const Graph& g, const RunConfig& cfg = {}, std::size_t round_offset = 0);
 
 }  // namespace mcds::dist

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "dist/reliable_link.hpp"
-#include "graph/traversal.hpp"
 
 namespace mcds::dist {
 
@@ -47,24 +46,6 @@ class MinIdFlood final : public Protocol {
 
 }  // namespace
 
-LeaderResult elect_leader(const Graph& g) {
-  if (g.num_nodes() == 0) {
-    throw std::invalid_argument("elect_leader: empty graph");
-  }
-  Runtime rt(g);
-  MinIdFlood protocol(rt);
-  LeaderResult out;
-  out.stats = rt.run(protocol);
-  out.leader = protocol.known(0);
-  // All nodes must agree — guaranteed on a connected topology.
-  for (NodeId v = 1; v < g.num_nodes(); ++v) {
-    if (protocol.known(v) != out.leader) {
-      throw std::invalid_argument("elect_leader: topology is disconnected");
-    }
-  }
-  return out;
-}
-
 LeaderResult elect_leader(const Graph& g, const RunConfig& cfg,
                           std::size_t round_offset) {
   if (g.num_nodes() == 0) {
@@ -85,6 +66,9 @@ LeaderResult elect_leader(const Graph& g, const RunConfig& cfg,
     }
   }
   if (first) out.complete = false;  // nobody survived
+  if (!out.complete && cfg.plan.trivial()) {
+    throw std::invalid_argument("elect_leader: topology is disconnected");
+  }
   return out;
 }
 

@@ -16,25 +16,21 @@ struct MisElectionResult {
   std::vector<bool> in_mis;       ///< per-node dominator flag
   std::vector<NodeId> mis;        ///< dominators, ascending id
   RunStats stats;
-  bool complete = true;  ///< every live node decided (always true for
-                         ///< the fault-free overload)
+  bool complete = true;  ///< every live node decided (always true under
+                         ///< a trivial plan)
 };
 
 /// Runs the election on \p g given the BFS \p level of every node
-/// (from build_bfs_tree). Precondition: levels consistent with a
-/// connected topology.
-[[nodiscard]] MisElectionResult elect_mis(const Graph& g,
-                                          const std::vector<NodeId>& level);
-
-/// Fault-aware overload: runs the election under \p cfg, with
-/// \p round_offset placing it on the plan's global timeline. Nodes that
-/// quiesce undecided (expected under message loss or crashes) no longer
-/// throw; instead complete is false and in_mis holds only the nodes
-/// that decided to join. The election is confluent, so with reliable
-/// links and no crashes the result equals the fault-free one.
+/// (from build_bfs_tree) under \p cfg, with \p round_offset placing it
+/// on the plan's global timeline. Nodes that quiesce undecided (expected
+/// under message loss or crashes) clear complete, and in_mis holds only
+/// the nodes that decided to join. Under a trivial plan every node
+/// decides, so an undecided one throws std::logic_error. The election is
+/// confluent: with reliable links and no crashes the result equals the
+/// fault-free one.
 [[nodiscard]] MisElectionResult elect_mis(const Graph& g,
                                           const std::vector<NodeId>& level,
-                                          const RunConfig& cfg,
+                                          const RunConfig& cfg = {},
                                           std::size_t round_offset = 0);
 
 }  // namespace mcds::dist

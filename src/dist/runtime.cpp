@@ -150,12 +150,6 @@ void Runtime::InboxArena::stage(const Bucket& due,
   }
 }
 
-Runtime::Runtime(const Graph& g) : g_(g), live_(g.num_nodes()) {
-  if (g.finalized()) frozen_.emplace(g);
-  arena_.reset(g.num_nodes());
-  queue_.emplace_back();
-}
-
 Runtime::Runtime(const Graph& g, const FaultPlan& plan,
                  std::size_t round_offset)
     : g_(g), plan_(plan), live_(g.num_nodes()), round_offset_(round_offset) {

@@ -200,15 +200,15 @@ class Protocol {
 /// FaultPlan.
 class Runtime final : public Transport {
  public:
-  /// Ideal fault-free runtime. \p g must outlive the runtime.
-  explicit Runtime(const Graph& g);
-
-  /// Fault-injecting runtime. \p round_offset places this execution on
-  /// the plan's global timeline: events with round <= round_offset are
-  /// applied before start() (supporting multi-phase constructions that
-  /// thread one plan through consecutive runtimes), and the channel
-  /// draw stream is decorrelated per offset.
-  Runtime(const Graph& g, const FaultPlan& plan, std::size_t round_offset = 0);
+  /// A runtime over \p g (which must outlive it) executing \p plan; the
+  /// default (trivial) plan is the ideal fault-free model. \p
+  /// round_offset places this execution on the plan's global timeline:
+  /// events with round <= round_offset are applied before start()
+  /// (supporting multi-phase constructions that thread one plan through
+  /// consecutive runtimes), and the channel draw stream is decorrelated
+  /// per offset.
+  explicit Runtime(const Graph& g, const FaultPlan& plan = {},
+                   std::size_t round_offset = 0);
 
   void send(NodeId from, NodeId to, Message m) override;
   void broadcast(NodeId from, Message m) override;
@@ -237,7 +237,7 @@ class Runtime final : public Transport {
     return !group_.empty() && group_[from] != group_[to];
   }
 
-  /// Fault-side accounting (all zero for the fault-free runtime).
+  /// Fault-side accounting (all zero under a trivial plan).
   [[nodiscard]] const FaultStats& faults() const noexcept { return fstats_; }
 
   /// Streams every delivered message into \p sink (nullptr disables).
@@ -339,7 +339,7 @@ class Runtime final : public Transport {
   /// Bounds-check-free CSR view for route()'s O(log deg) edge check
   /// (unset only for a not-yet-finalized topology).
   std::optional<graph::FrozenGraph> frozen_;
-  FaultPlan plan_;  ///< empty for the fault-free constructor
+  FaultPlan plan_;  ///< the plan, its schedules sorted by round
   bool faulty_ = false;
   std::optional<ChannelModel> model_;
   std::vector<bool> up_;  ///< empty on the fault-free fast path

@@ -20,11 +20,14 @@
 
 namespace mcds::obs {
 
-/// Monotone event counter. Relaxed-atomic so components updating a
-/// shared counter from concurrent workers (the parallel distributed
-/// runtime's protocols) stay race-free; addition is commutative, so the
-/// final value is thread-count-independent. Single-threaded updaters
-/// pay one uncontended atomic add.
+/// Monotone event counter. Relaxed-atomic because a resolved counter can
+/// have writers on several threads with no lock in common: the solve
+/// server's `serve.checkpoints` is added by its checkpointer thread and
+/// by every caller of Server::checkpoint_now(). Addition is commutative,
+/// so the final value does not depend on the interleaving. Every other
+/// counter has one writer at a time (the distributed runtime steps every
+/// round on the calling thread; the server's other counters update
+/// under its locks) and pays one uncontended atomic add.
 class Counter {
  public:
   void add(std::uint64_t d = 1) noexcept {

@@ -41,7 +41,8 @@ UdgInstance generate_largest_component_instance(const InstanceParams& params,
   if (auto inst = generate_connected_instance(params, seed)) {
     return *std::move(inst);
   }
-  // Fall back: keep the largest component of the last redraw.
+  // Fall back: redraw the first field (seed itself) and keep its largest
+  // component.
   UdgInstance inst = generate_instance(params, seed);
   const auto [label, count] = graph::connected_components(inst.graph);
   std::vector<std::size_t> size(count, 0);
