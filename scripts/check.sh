@@ -6,6 +6,9 @@
 # asserts nothing, and unfiltered it builds every row's input up to the
 # n = 10^6 BM_Dist* fields (run it through scripts/bench_snapshot.sh).
 #
+# The default build configures with -DMCDS_WERROR=ON, as CI's release
+# job does, so a warning that would break CI fails here first.
+#
 # SANITIZE=1 builds into build-asan with AddressSanitizer + UBSan
 # (-DMCDS_SANITIZE=ON) and runs the test suite only — the reproduction
 # benches take too long under instrumentation to be part of the gate.
@@ -29,7 +32,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=build
-cmake_extra=()
+cmake_extra=(-DMCDS_WERROR=ON)
 ctest_extra=()
 if [[ "${SANITIZE:-0}" == "1" ]]; then
   BUILD_DIR=build-asan

@@ -25,13 +25,12 @@ const char* to_string(ConnectorPolicy policy) noexcept {
 namespace {
 
 // Gain-driven selection shared by the positive-gain policies: keeps
-// adding a connector with gain >= 1 until one component remains.
-// `pick_max` selects the maximum-gain node; otherwise the rule picks
-// among positive-gain nodes (first by id, or uniformly at random).
+// adding a connector with gain >= 1 until one component remains,
+// picking among positive-gain nodes first by id, or uniformly at
+// random.
 std::vector<NodeId> gain_policy_connectors(const Graph& g,
                                            const std::vector<NodeId>& mis,
-                                           bool pick_max, bool random,
-                                           std::uint64_t seed) {
+                                           bool random, std::uint64_t seed) {
   const std::size_t n = g.num_nodes();
   const graph::FrozenGraph fg(g);
   std::vector<bool> in_set(n, false);
@@ -50,8 +49,6 @@ std::vector<NodeId> gain_policy_connectors(const Graph& g,
     for (std::size_t i = 0; i < members.size(); ++i) {
       comp[members[i]] = labels[i];
     }
-    NodeId best = graph::kNoNode;
-    std::size_t best_gain = 0;
     std::vector<NodeId> positive;
     for (NodeId w = 0; w < n; ++w) {
       if (in_set[w]) continue;
@@ -63,26 +60,15 @@ std::vector<NodeId> gain_policy_connectors(const Graph& g,
           ++distinct;
         }
       }
-      if (distinct >= 2) {
-        positive.push_back(w);
-        if (distinct - 1 > best_gain) {
-          best_gain = distinct - 1;
-          best = w;
-        }
-      }
+      if (distinct >= 2) positive.push_back(w);
     }
     if (positive.empty()) {
       throw std::logic_error(
           "gain policy: no positive-gain node although q > 1");
     }
-    NodeId chosen;
-    if (pick_max) {
-      chosen = best;
-    } else if (random) {
-      chosen = positive[rng.uniform_int(positive.size())];
-    } else {
-      chosen = positive.front();  // smallest id
-    }
+    const NodeId chosen = random
+                              ? positive[rng.uniform_int(positive.size())]
+                              : positive.front();  // smallest id
     connectors.push_back(chosen);
     members.push_back(chosen);
     in_set[chosen] = true;
@@ -125,8 +111,8 @@ Phase2Result cds_with_policy(const Graph& g, ConnectorPolicy policy,
     case ConnectorPolicy::kRandomPositiveGain: {
       out.phase1 = core::bfs_first_fit_mis(g, root);
       out.connectors = gain_policy_connectors(
-          g, out.phase1.mis, /*pick_max=*/false,
-          policy == ConnectorPolicy::kRandomPositiveGain, seed);
+          g, out.phase1.mis, policy == ConnectorPolicy::kRandomPositiveGain,
+          seed);
       out.cds = merge(g, out.phase1.in_mis, out.connectors);
       return out;
     }

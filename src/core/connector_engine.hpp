@@ -246,7 +246,7 @@ extern template class BasicConnectorEngine<UnitGainPolicy>;
 extern template class BasicConnectorEngine<NodeWeightedGainPolicy>;
 
 /// The production engine: the unit-gain instantiation, constructible
-/// straight from a finalized Graph.
+/// straight from a Graph.
 class ConnectorEngine : public BasicConnectorEngine<UnitGainPolicy> {
  public:
   ConnectorEngine(const Graph& g, std::span<const NodeId> members,

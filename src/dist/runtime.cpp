@@ -109,8 +109,7 @@ void Runtime::InboxArena::reset(std::size_t n) {
   dests_.clear();
 }
 
-void Runtime::InboxArena::stage(const Bucket& due,
-                                const graph::FrozenGraph* csr) {
+void Runtime::InboxArena::stage(const Bucket& due, graph::FrozenGraph csr) {
   for (const NodeId v : dests_) len_[v] = 0;  // last round's extents
   dests_.clear();
   const auto count = [this](NodeId to) {
@@ -119,7 +118,7 @@ void Runtime::InboxArena::stage(const Bucket& due,
   const std::size_t entries = due.msgs.size();
   for (std::size_t i = 0; i < entries; ++i) {
     if (due.tos[i] == kEveryNeighbor) {
-      for (const NodeId u : csr->neighbors(due.msgs[i].from)) count(u);
+      for (const NodeId u : csr.neighbors(due.msgs[i].from)) count(u);
     } else {
       count(due.tos[i]);
     }
@@ -143,7 +142,7 @@ void Runtime::InboxArena::stage(const Bucket& due,
   for (std::size_t i = 0; i < entries; ++i) {
     const Message& m = due.msgs[i];
     if (due.tos[i] == kEveryNeighbor) {
-      for (const NodeId u : csr->neighbors(m.from)) buf_[cursor_[u]++] = m;
+      for (const NodeId u : csr.neighbors(m.from)) buf_[cursor_[u]++] = m;
     } else {
       buf_[cursor_[due.tos[i]]++] = m;
     }
@@ -152,8 +151,11 @@ void Runtime::InboxArena::stage(const Bucket& due,
 
 Runtime::Runtime(const Graph& g, const FaultPlan& plan,
                  std::size_t round_offset)
-    : g_(g), plan_(plan), live_(g.num_nodes()), round_offset_(round_offset) {
-  if (g.finalized()) frozen_.emplace(g);
+    : g_(g),
+      frozen_(g),
+      plan_(plan),
+      live_(g.num_nodes()),
+      round_offset_(round_offset) {
   arena_.reset(g.num_nodes());
   queue_.emplace_back();
   faulty_ = !plan_.trivial();
@@ -179,13 +181,11 @@ void Runtime::observe(const obs::Obs& obs, std::string label) {
 }
 
 void Runtime::send(NodeId from, NodeId to, Message m) {
-  // O(log deg) binary search on the frozen CSR; out-of-range ids (and a
-  // never-finalized topology) take the checked Graph path, preserving
-  // its exception behavior.
-  const bool edge =
-      (frozen_ && from < g_.num_nodes() && to < g_.num_nodes())
-          ? frozen_->has_edge(from, to)
-          : g_.has_edge(from, to);
+  // O(log deg) binary search on the frozen CSR; out-of-range ids take
+  // the checked Graph path, preserving its exception behavior.
+  const bool edge = (from < g_.num_nodes() && to < g_.num_nodes())
+                        ? frozen_.has_edge(from, to)
+                        : g_.has_edge(from, to);
   if (!edge) {
     throw std::invalid_argument(
         "Runtime::send: nodes are not one-hop neighbors");
@@ -198,8 +198,8 @@ void Runtime::broadcast(NodeId from, Message m) {
   m.from = from;
   // Fault-free and causally untraced, every copy takes the same path
   // into the same round: carry the broadcast as one record until then.
-  if (!faulty_ && !causal_active_ && frozen_ && from < g_.num_nodes()) {
-    if (frozen_->degree(from) == 0) return;
+  if (!faulty_ && !causal_active_ && from < g_.num_nodes()) {
+    if (frozen_.degree(from) == 0) return;
     enqueue(kEveryNeighbor, m, 0);
     return;
   }
@@ -354,7 +354,7 @@ std::vector<NodeId> Runtime::nodes_with_pending() const {
   for (const Bucket& bucket : queue_) {
     for (std::size_t i = 0; i < bucket.tos.size(); ++i) {
       if (bucket.tos[i] == kEveryNeighbor) {
-        const auto row = frozen_->neighbors(bucket.msgs[i].from);
+        const auto row = frozen_.neighbors(bucket.msgs[i].from);
         out.insert(out.end(), row.begin(), row.end());
       } else {
         out.push_back(bucket.tos[i]);
@@ -452,7 +452,7 @@ RunStats Runtime::run(Protocol& p, std::size_t max_rounds) {
       Bucket due = std::move(queue_.front());
       queue_.pop_front();
       if (queue_.empty()) queue_.push_back(take_spare());
-      arena_.stage(due, frozen_ ? &*frozen_ : nullptr);
+      arena_.stage(due, frozen_);
       recycle(std::move(due));
     }
     const std::size_t delivered = arena_.all().size();

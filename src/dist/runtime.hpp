@@ -294,8 +294,8 @@ class Runtime final : public Transport {
   class InboxArena {
    public:
     void reset(std::size_t n);
-    /// \p csr expands kEveryNeighbor records (null when none can occur).
-    void stage(const Bucket& due, const graph::FrozenGraph* csr);
+    /// \p csr expands kEveryNeighbor records.
+    void stage(const Bucket& due, graph::FrozenGraph csr);
     [[nodiscard]] std::span<const Message> inbox(NodeId v) const noexcept {
       return {buf_.data() + begin_[v], len_[v]};
     }
@@ -322,7 +322,7 @@ class Runtime final : public Transport {
   /// Deliveries an entry stands for: 1, or the sender's degree for a
   /// broadcast record.
   [[nodiscard]] std::size_t copies(NodeId to, const Message& m) const {
-    return to == kEveryNeighbor ? frozen_->degree(m.from) : 1;
+    return to == kEveryNeighbor ? frozen_.degree(m.from) : 1;
   }
   void apply_events_through(std::size_t global_round);
   void apply_partition(const PartitionEvent& e);
@@ -336,9 +336,9 @@ class Runtime final : public Transport {
       std::span<const Message> inbox) const noexcept;
 
   const Graph& g_;
-  /// Bounds-check-free CSR view for route()'s O(log deg) edge check
-  /// (unset only for a not-yet-finalized topology).
-  std::optional<graph::FrozenGraph> frozen_;
+  /// Bounds-check-free CSR view for send()'s O(log deg) edge check and
+  /// for expanding broadcast records.
+  graph::FrozenGraph frozen_;
   FaultPlan plan_;  ///< the plan, its schedules sorted by round
   bool faulty_ = false;
   std::optional<ChannelModel> model_;

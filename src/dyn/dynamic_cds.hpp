@@ -110,8 +110,8 @@ class DynamicCds {
   /// The maintained MIS, ascending ids.
   [[nodiscard]] std::vector<NodeId> mis() const { return backbone_.mis(); }
 
-  /// The current topology as a fresh finalized Graph (dead nodes
-  /// isolated). O(n + m).
+  /// The current topology as a fresh Graph (dead nodes isolated).
+  /// O(n + m).
   [[nodiscard]] graph::Graph topology() const { return g_.materialize(); }
 
   [[nodiscard]] const graph::DeltaGraph& delta_graph() const noexcept {

@@ -68,7 +68,6 @@ DeltaGraph::DeltaGraph(Graph base, double compact_fraction,
   if (!(compact_fraction_ > 0.0)) {
     throw std::invalid_argument("DeltaGraph: compact_fraction must be > 0");
   }
-  base_.finalize();
   n_ = base_.num_nodes();
   base_nodes_ = n_;
   num_edges_ = base_.num_edges();
@@ -191,14 +190,15 @@ bool DeltaGraph::compaction_due() const noexcept {
 }
 
 Graph DeltaGraph::materialize() const {
-  Graph g(n_);
+  // for_each_neighbor yields each row ascending: the CSR rows as is.
+  std::vector<std::uint32_t> offsets(n_ + 1, 0);
+  std::vector<NodeId> neighbors;
+  neighbors.reserve(2 * num_edges_);
   for (NodeId u = 0; u < n_; ++u) {
-    for_each_neighbor(u, [&](NodeId v) {
-      if (u < v) g.add_edge(u, v);
-    });
+    for_each_neighbor(u, [&](NodeId v) { neighbors.push_back(v); });
+    offsets[u + 1] = static_cast<std::uint32_t>(neighbors.size());
   }
-  g.finalize();
-  return g;
+  return Graph::from_csr(std::move(offsets), std::move(neighbors));
 }
 
 void DeltaGraph::compact() {

@@ -9,18 +9,17 @@
 #include "graph/graph.hpp"
 
 /// \file delta_graph.hpp
-/// A mutable overlay over the immutable CSR core. Graph's own mutation
-/// path thaws the whole CSR back into build lists on every add_edge —
-/// O(n + m) per mutation — which is exactly wrong for streaming churn
-/// where each event touches a handful of edges. DeltaGraph keeps a
-/// finalized Graph as the base snapshot and layers per-node added /
-/// removed neighbor lists on the side. Iteration merges the two in
-/// ascending id order, so a traversal over a DeltaGraph visits exactly
-/// the sequence a re-finalized CSR would produce (golden traces over
+/// A mutable overlay over the immutable CSR core. A Graph cannot change
+/// once built, and rebuilding its CSR costs O(n + m) — exactly wrong for
+/// streaming churn where each event touches a handful of edges.
+/// DeltaGraph keeps a Graph as the base snapshot and layers per-node
+/// added / removed neighbor lists on the side. Iteration merges the two
+/// in ascending id order, so a traversal over a DeltaGraph visits
+/// exactly the sequence a rebuilt CSR would produce (golden traces over
 /// either representation agree byte for byte). When the overlay grows
-/// past a fraction of the base it is compacted — re-finalized into a
-/// fresh CSR — in one O(n + m) pass, amortizing the rebuild over the
-/// many events that fit under the threshold.
+/// past a fraction of the base it is compacted — rebuilt into a fresh
+/// CSR — in one O(n + m) pass, amortizing the rebuild over the many
+/// events that fit under the threshold.
 
 namespace mcds::graph {
 
@@ -54,10 +53,10 @@ class DeltaGraph {
  public:
   DeltaGraph() = default;
 
-  /// Takes ownership of \p base (finalizing it if needed). Compaction
-  /// triggers when the overlay holds more than \p compact_fraction of
-  /// the base's directed adjacency entries, but never below
-  /// \p compact_min_edits (small graphs would otherwise thrash).
+  /// Takes ownership of \p base. Compaction triggers when the overlay
+  /// holds more than \p compact_fraction of the base's directed
+  /// adjacency entries, but never below \p compact_min_edits (small
+  /// graphs would otherwise thrash).
   explicit DeltaGraph(Graph base, double compact_fraction = 0.25,
                       std::size_t compact_min_edits = 1024);
 
@@ -135,7 +134,7 @@ class DeltaGraph {
   /// True when the overlay exceeds the compaction threshold.
   [[nodiscard]] bool compaction_due() const noexcept;
 
-  /// Re-finalizes base ∪ overlay into a fresh CSR snapshot and clears
+  /// Rebuilds base ∪ overlay into a fresh CSR snapshot and clears
   /// the overlay. O(n + m).
   void compact();
 
@@ -144,7 +143,7 @@ class DeltaGraph {
     return compactions_;
   }
 
-  /// A fresh finalized Graph equal to the current topology.
+  /// A fresh Graph equal to the current topology.
   [[nodiscard]] Graph materialize() const;
 
   /// The frozen base snapshot (valid until the next compact()).
@@ -163,7 +162,7 @@ class DeltaGraph {
   /// (+1: overlay grew, -1: an overlay entry cancelled out).
   int apply_half(NodeId u, NodeId v, bool add);
 
-  Graph base_;  ///< finalized snapshot
+  Graph base_;  ///< CSR snapshot
   std::unordered_map<NodeId, Overlay> overlay_;
   std::vector<std::uint8_t> touched_;  ///< [u] != 0 ⇔ overlay_ has u
   std::size_t n_ = 0;

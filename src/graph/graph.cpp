@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,8 +11,44 @@ namespace mcds::graph {
 
 Graph::Graph(std::size_t n, std::span<const std::pair<NodeId, NodeId>> edges)
     : n_(n), offsets_(n + 1, 0) {
-  for (const auto& [u, v] : edges) add_edge(u, v);
-  finalize();
+  // Count each endpoint's raw degree into end[u + 1]; the prefix sum
+  // makes end[u] the start of row u in the raw (unsorted, possibly
+  // repeating) adjacency.
+  std::vector<std::size_t> end(n + 1, 0);
+  for (const auto& [u, v] : edges) {
+    check_node(u);
+    check_node(v);
+    if (u == v) throw std::invalid_argument("Graph: self-loops not allowed");
+    ++end[u + 1];
+    ++end[v + 1];
+  }
+  std::partial_sum(end.begin(), end.end(), end.begin());
+  // Scatter both directions of every edge; advancing end[u] past each
+  // entry leaves it at the end of row u.
+  std::vector<NodeId> adj(end[n]);
+  for (const auto& [u, v] : edges) {
+    adj[end[u]++] = v;
+    adj[end[v]++] = u;
+  }
+  // Sort each row and compact it, repeats dropped, to the front.
+  std::size_t kept = 0;
+  std::size_t begin = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    std::sort(adj.begin() + static_cast<std::ptrdiff_t>(begin),
+              adj.begin() + static_cast<std::ptrdiff_t>(end[u]));
+    const std::size_t row = kept;
+    for (std::size_t k = begin; k < end[u]; ++k) {
+      if (kept == row || adj[k] != adj[kept - 1]) adj[kept++] = adj[k];
+    }
+    offsets_[u + 1] = static_cast<std::uint32_t>(kept);
+    begin = end[u];
+  }
+  if (kept > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("Graph: adjacency exceeds 32-bit CSR");
+  }
+  adj.resize(kept);
+  neighbors_ = std::move(adj);
+  num_edges_ = kept / 2;
 }
 
 Graph Graph::from_csr(std::vector<std::uint32_t> offsets,
@@ -49,74 +86,9 @@ void Graph::check_node(NodeId u) const {
   }
 }
 
-void Graph::thaw() {
-  // Stage into a local so a mid-loop allocation failure leaves the graph
-  // exactly as it was (still finalized, CSR intact); only the noexcept
-  // moves below commit the transition.
-  std::vector<std::vector<NodeId>> staged(n_);
-  for (NodeId u = 0; u < n_; ++u) {
-    const auto list = std::span<const NodeId>{
-        neighbors_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
-    staged[u].assign(list.begin(), list.end());
-  }
-  build_adj_ = std::move(staged);
-  neighbors_.clear();
-  finalized_ = false;
-}
-
-void Graph::add_edge(NodeId u, NodeId v) {
-  check_node(u);
-  check_node(v);
-  if (u == v) throw std::invalid_argument("Graph: self-loops not allowed");
-  if (finalized_) thaw();
-  auto& fwd = build_adj_[u];
-  auto& rev = build_adj_[v];
-  // Pre-grow both endpoint lists (geometrically, to keep push_back
-  // amortized O(1)) so the two inserts below cannot throw: an edge is
-  // recorded in both lists or in neither, never half-way.
-  if (fwd.size() == fwd.capacity()) {
-    fwd.reserve(fwd.empty() ? 4 : fwd.capacity() * 2);
-  }
-  if (rev.size() == rev.capacity()) {
-    rev.reserve(rev.empty() ? 4 : rev.capacity() * 2);
-  }
-  fwd.push_back(v);
-  rev.push_back(u);
-}
-
-void Graph::finalize() {
-  if (finalized_) return;
-  num_edges_ = 0;
-  std::size_t total = 0;
-  for (auto& list : build_adj_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-    total += list.size();
-  }
-  if (total > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("Graph::finalize: adjacency exceeds 32-bit CSR");
-  }
-  offsets_.assign(n_ + 1, 0);
-  neighbors_.clear();
-  neighbors_.reserve(total);
-  for (NodeId u = 0; u < n_; ++u) {
-    offsets_[u] = static_cast<std::uint32_t>(neighbors_.size());
-    neighbors_.insert(neighbors_.end(), build_adj_[u].begin(),
-                      build_adj_[u].end());
-  }
-  offsets_[n_] = static_cast<std::uint32_t>(neighbors_.size());
-  num_edges_ = total / 2;
-  build_adj_.clear();
-  build_adj_.shrink_to_fit();
-  finalized_ = true;
-}
-
 bool Graph::has_edge(NodeId u, NodeId v) const {
   check_node(u);
   check_node(v);
-  if (!finalized_) {
-    throw std::logic_error("Graph::has_edge requires a finalized graph");
-  }
   const auto list = neighbors(u);
   return std::binary_search(list.begin(), list.end(), v);
 }
@@ -130,15 +102,6 @@ std::vector<std::pair<NodeId, NodeId>> Graph::edges() const {
     }
   }
   return out;
-}
-
-FrozenGraph::FrozenGraph(const Graph& g)
-    : offsets_(g.offsets_.data()),
-      neighbors_(g.neighbors_.data()),
-      n_(g.n_) {
-  if (!g.finalized()) {
-    throw std::logic_error("FrozenGraph: graph must be finalized");
-  }
 }
 
 bool FrozenGraph::has_edge(NodeId u, NodeId v) const noexcept {

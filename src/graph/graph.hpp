@@ -8,29 +8,23 @@
 /// Undirected graph storage. This is the communication topology
 /// G = (V, E) on which every CDS algorithm in the library runs.
 ///
-/// Storage model: Graph is built through add_edge() into per-node build
-/// lists, then finalize() compacts it into a CSR (compressed sparse row)
-/// layout — one flat `offsets_` array of n+1 list boundaries and one
-/// flat `neighbors_` array holding every adjacency consecutively. A
-/// builder that already has those arrays (the unit-disk grid kernel)
-/// hands them to from_csr() instead. All queries after finalize() read
-/// the flat arrays, so a neighborhood scan is a single contiguous range
-/// with no per-node heap indirection. FrozenGraph is the zero-cost view
-/// of that layout the hot paths consume.
+/// Storage model: a Graph is a CSR (compressed sparse row) layout from
+/// the moment it is constructed — one flat `offsets_` array of n+1 list
+/// boundaries and one flat `neighbors_` array holding every adjacency
+/// consecutively, each row ascending. The edge-list constructor writes
+/// those arrays in one count / scatter / sort pass; a builder that
+/// already has them (the unit-disk grid kernel, induced subgraphs, the
+/// delta overlay) hands them to from_csr() instead. A Graph is
+/// immutable: a neighborhood scan is a single contiguous range with no
+/// per-node heap indirection. FrozenGraph is the zero-cost view of that
+/// layout the hot paths consume.
 
 namespace mcds::graph {
 
 /// Node identifier: dense 0-based index.
 using NodeId = std::uint32_t;
 
-/// An undirected simple graph over nodes 0..n-1.
-///
-/// Edges are staged by add_edge() and compacted by finalize() (the
-/// edge-list constructor finalizes for you). Queries that require sorted
-/// adjacency (has_edge) demand a finalized graph; the algorithms in this
-/// library all operate on finalized graphs. Mutating a finalized graph
-/// thaws it back into build lists transparently; call finalize() again
-/// before handing it to an algorithm.
+/// An undirected simple graph over nodes 0..n-1, immutable once built.
 class Graph {
  public:
   Graph() = default;
@@ -38,11 +32,14 @@ class Graph {
   /// Creates an edgeless graph with \p n nodes.
   explicit Graph(std::size_t n) : n_(n), offsets_(n + 1, 0) {}
 
-  /// Creates a graph from an explicit edge list.
+  /// Creates a graph from an explicit edge list, in any order and
+  /// orientation; duplicate edges are counted once. Throws
+  /// std::invalid_argument for an out-of-range endpoint or a self-loop,
+  /// and std::length_error if the adjacency exceeds the 32-bit CSR.
   Graph(std::size_t n, std::span<const std::pair<NodeId, NodeId>> edges);
 
   /// Adopts ready CSR arrays: the neighbors of u are
-  /// neighbors[offsets[u] .. offsets[u+1]). The result is finalized.
+  /// neighbors[offsets[u] .. offsets[u+1]).
   /// One O(n + m) pass checks the shape and throws std::invalid_argument
   /// unless offsets has n+1 entries, starts at 0, never decreases and
   /// ends at neighbors.size(), and every row holds ids below n in
@@ -57,23 +54,10 @@ class Graph {
   /// Number of undirected edges.
   [[nodiscard]] std::size_t num_edges() const noexcept { return num_edges_; }
 
-  /// Adds the undirected edge {u, v}. Throws std::invalid_argument for
-  /// out-of-range endpoints or self-loops. Duplicate edges are detected at
-  /// finalize() time and removed (counted once).
-  void add_edge(NodeId u, NodeId v);
-
-  /// Sorts adjacency, removes duplicate edges and compacts the graph
-  /// into the flat CSR arrays. Idempotent.
-  void finalize();
-
-  /// Neighbors of \p u in increasing order (after finalize()). Before
-  /// finalize() the staged, unsorted build list is returned.
+  /// Neighbors of \p u in increasing order.
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const {
-    if (finalized_) {
-      check_node(u);
-      return {neighbors_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
-    }
-    return build_adj_.at(u);
+    check_node(u);
+    return {neighbors_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
   }
 
   /// Degree of \p u.
@@ -81,21 +65,18 @@ class Graph {
     return neighbors(u).size();
   }
 
-  /// True if the edge {u, v} exists. O(log deg) after finalize().
+  /// True if the edge {u, v} exists. O(log deg).
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
-
-  /// True if finalize() has been called since the last mutation.
-  [[nodiscard]] bool finalized() const noexcept { return finalized_; }
 
   /// All edges as (u, v) with u < v, lexicographic order.
   [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> edges() const;
 
-  /// The CSR row-boundary array (size n+1, after finalize()).
+  /// The CSR row-boundary array (size n+1).
   [[nodiscard]] std::span<const std::uint32_t> offsets() const noexcept {
     return offsets_;
   }
 
-  /// The flat CSR adjacency array (size 2m, after finalize()).
+  /// The flat CSR adjacency array (size 2m).
   [[nodiscard]] std::span<const NodeId> flat_neighbors() const noexcept {
     return neighbors_;
   }
@@ -104,21 +85,15 @@ class Graph {
   friend class FrozenGraph;
 
   void check_node(NodeId u) const;
-  /// Re-expands the CSR arrays into build lists so add_edge can mutate a
-  /// finalized graph.
-  void thaw();
 
   std::size_t n_ = 0;
-  /// Staging adjacency, only populated between add_edge and finalize.
-  std::vector<std::vector<NodeId>> build_adj_;
   /// CSR layout: neighbors of u are neighbors_[offsets_[u] .. offsets_[u+1]).
   std::vector<std::uint32_t> offsets_ = {0};
   std::vector<NodeId> neighbors_;
   std::size_t num_edges_ = 0;
-  bool finalized_ = true;  // an edgeless graph is trivially finalized
 };
 
-/// A non-owning, bounds-check-free view of a finalized Graph's CSR
+/// A non-owning, bounds-check-free view of a Graph's CSR
 /// arrays — three words, passed by value. This is what the hot loops
 /// (MIS selection, connector gain scans, BFS, validation sweeps)
 /// iterate: `for (NodeId v : fg.neighbors(u))` compiles to a scan over
@@ -126,9 +101,10 @@ class Graph {
 class FrozenGraph {
  public:
   /// Implicit on purpose: algorithms take `const Graph&` at the API
-  /// boundary and drop to the frozen view internally. Throws
-  /// std::logic_error if \p g is not finalized.
-  FrozenGraph(const Graph& g);  // NOLINT(google-explicit-constructor)
+  /// boundary and drop to the frozen view internally.
+  FrozenGraph(const Graph& g) noexcept  // NOLINT(google-explicit-constructor)
+      : offsets_(g.offsets_.data()), neighbors_(g.neighbors_.data()),
+        n_(g.n_) {}
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return n_; }
 

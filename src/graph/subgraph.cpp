@@ -1,5 +1,6 @@
 #include "graph/subgraph.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -30,17 +31,20 @@ InducedSubgraph induced_subgraph(const Graph& g,
                                  std::span<const NodeId> nodes) {
   const auto pos = position_map(g, nodes);
   const FrozenGraph fg(g);
-  InducedSubgraph out;
-  out.mapping.assign(nodes.begin(), nodes.end());
-  out.graph = Graph(nodes.size());
+  std::vector<std::uint32_t> offsets(nodes.size() + 1, 0);
+  std::vector<NodeId> neighbors;
   for (std::uint32_t i = 0; i < nodes.size(); ++i) {
+    const std::size_t row = neighbors.size();
     for (const NodeId v : fg.neighbors(nodes[i])) {
-      const std::uint32_t j = pos[v];
-      if (j != kUnset && i < j) out.graph.add_edge(i, j);
+      if (pos[v] != kUnset) neighbors.push_back(pos[v]);
     }
+    // `nodes` may come in any order, so a row's new ids need not ascend.
+    std::sort(neighbors.begin() + static_cast<std::ptrdiff_t>(row),
+              neighbors.end());
+    offsets[i + 1] = static_cast<std::uint32_t>(neighbors.size());
   }
-  out.graph.finalize();
-  return out;
+  return {Graph::from_csr(std::move(offsets), std::move(neighbors)),
+          {nodes.begin(), nodes.end()}};
 }
 
 std::pair<std::vector<std::uint32_t>, std::size_t> subset_components(

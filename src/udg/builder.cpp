@@ -23,15 +23,14 @@ Graph build_udg_naive(std::span<const Vec2> points, double radius) {
   if (!(radius > 0.0)) {
     throw std::invalid_argument("build_udg_naive: radius must be positive");
   }
-  Graph g(points.size());
+  std::vector<std::pair<NodeId, NodeId>> edges;
   const double r2 = radius * radius;
   for (NodeId i = 0; i < points.size(); ++i) {
     for (NodeId j = i + 1; j < points.size(); ++j) {
-      if (geom::dist2(points[i], points[j]) <= r2) g.add_edge(i, j);
+      if (geom::dist2(points[i], points[j]) <= r2) edges.emplace_back(i, j);
     }
   }
-  g.finalize();
-  return g;
+  return Graph(points.size(), edges);
 }
 
 }  // namespace mcds::udg

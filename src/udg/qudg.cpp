@@ -15,7 +15,7 @@ graph::Graph build_quasi_udg(std::span<const Vec2> points, double r_min,
     throw std::invalid_argument(
         "build_quasi_udg: need 0 < r_min <= r_max");
   }
-  Graph g(points.size());
+  std::vector<std::pair<NodeId, NodeId>> edges;
   const double lo2 = r_min * r_min;
   const double hi2 = r_max * r_max;
   const double band = r_max - r_min;
@@ -26,18 +26,17 @@ graph::Graph build_quasi_udg(std::span<const Vec2> points, double r_min,
       const double d2 = geom::dist2(points[i], points[j]);
       if (d2 > hi2) continue;
       if (d2 <= lo2) {
-        g.add_edge(i, j);
+        edges.emplace_back(i, j);
         continue;
       }
       // Linearly decaying link probability across the gray zone; note
       // the variate is consumed only for gray-zone pairs.
       const double d = std::sqrt(d2);
       const double p = band > 0.0 ? (r_max - d) / band : 0.0;
-      if (rng.uniform01() < p) g.add_edge(i, j);
+      if (rng.uniform01() < p) edges.emplace_back(i, j);
     }
   }
-  g.finalize();
-  return g;
+  return Graph(points.size(), edges);
 }
 
 }  // namespace mcds::udg

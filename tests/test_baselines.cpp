@@ -39,9 +39,7 @@ TEST(ConnectUtil, Preconditions) {
   const Graph g = test::make_path(3);
   EXPECT_THROW((void)connect_via_shortest_paths(g, {}),
                std::invalid_argument);
-  graph::Graph disc(4);
-  disc.add_edge(0, 1);
-  disc.finalize();
+  const graph::Graph disc = test::make_graph(4, {{0, 1}});
   EXPECT_THROW((void)connect_via_shortest_paths(disc, {0, 2}),
                std::invalid_argument);
 }
@@ -58,9 +56,7 @@ TEST(GuhaKhuller, SingleNodeAndPreconditions) {
   EXPECT_EQ(guha_khuller_cds(graph::Graph(1)), (std::vector<NodeId>{0}));
   EXPECT_THROW((void)guha_khuller_cds(graph::Graph{}),
                std::invalid_argument);
-  graph::Graph disc(3);
-  disc.add_edge(0, 1);
-  disc.finalize();
+  const graph::Graph disc = test::make_graph(3, {{0, 1}});
   EXPECT_THROW((void)guha_khuller_cds(disc), std::invalid_argument);
 }
 
@@ -88,13 +84,9 @@ TEST(WuLi, CompleteGraphFallsBackToSingleNode) {
 TEST(WuLi, Rule1PrunesCoveredNode) {
   // Two hubs joined: a node whose closed neighborhood is inside a
   // higher-id marked neighbor's should be unmarked.
-  graph::Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(1, 3);  // chord
-  g.finalize();
+  // The path 0-1-2-3-4 plus the chord 1-3.
+  const graph::Graph g =
+      test::make_graph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {1, 3}});
   const auto cds = wu_li_cds(g);
   EXPECT_TRUE(is_cds(g, cds));
   EXPECT_LE(cds.size(), 3u);

@@ -26,34 +26,32 @@ using graph::NodeId;
 // Connected Erdős–Rényi-ish graph: random edges plus a random spanning
 // tree to guarantee connectivity.
 Graph random_connected_graph(std::size_t n, double p, sim::Rng& rng) {
-  Graph g(n);
+  test::Edges edges;
   std::vector<NodeId> order(n);
   for (NodeId i = 0; i < n; ++i) order[i] = i;
   rng.shuffle(order);
   for (std::size_t i = 1; i < n; ++i) {
-    g.add_edge(order[i], order[rng.uniform_int(i)]);
+    edges.emplace_back(order[i], order[rng.uniform_int(i)]);
   }
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = i + 1; j < n; ++j) {
-      if (rng.uniform01() < p) g.add_edge(i, j);
+      if (rng.uniform01() < p) edges.emplace_back(i, j);
     }
   }
-  g.finalize();
-  return g;
+  return Graph(n, edges);
 }
 
 // d-dimensional hypercube.
 Graph hypercube(std::size_t dims) {
   const std::size_t n = std::size_t{1} << dims;
-  Graph g(n);
+  test::Edges edges;
   for (NodeId v = 0; v < n; ++v) {
     for (std::size_t b = 0; b < dims; ++b) {
       const NodeId w = v ^ (NodeId{1} << b);
-      if (v < w) g.add_edge(v, w);
+      if (v < w) edges.emplace_back(v, w);
     }
   }
-  g.finalize();
-  return g;
+  return Graph(n, edges);
 }
 
 void expect_all_valid(const Graph& g, const std::string& label) {

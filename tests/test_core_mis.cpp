@@ -45,9 +45,7 @@ TEST(BfsFirstFitMis, RootAlwaysJoins) {
 }
 
 TEST(BfsFirstFitMis, RequiresConnected) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.finalize();
+  const graph::Graph g = test::make_graph(4, {{0, 1}});
   EXPECT_THROW((void)bfs_first_fit_mis(g, 0), std::invalid_argument);
   EXPECT_THROW((void)bfs_first_fit_mis(graph::Graph{}, 0),
                std::invalid_argument);
@@ -60,10 +58,7 @@ TEST(BfsFirstFitMis, SingleNode) {
 }
 
 TEST(LowestIdMis, WorksOnDisconnected) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.finalize();
+  const graph::Graph g = test::make_graph(4, {{0, 1}, {2, 3}});
   const MisResult r = lowest_id_mis(g);
   EXPECT_EQ(r.mis, (std::vector<NodeId>{0, 2}));
 }

@@ -56,9 +56,7 @@ TEST(Repair, DeduplicatesOldEntries) {
 
 TEST(Repair, Preconditions) {
   EXPECT_THROW((void)repair_cds(Graph{}, {}), std::invalid_argument);
-  graph::Graph disc(4);
-  disc.add_edge(0, 1);
-  disc.finalize();
+  const graph::Graph disc = test::make_graph(4, {{0, 1}});
   EXPECT_THROW((void)repair_cds(disc, {0}), std::invalid_argument);
 }
 

@@ -42,9 +42,7 @@ TEST(Waf, StarGraphFromLeaf) {
 }
 
 TEST(Waf, RequiresConnected) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.finalize();
+  const graph::Graph g = test::make_graph(4, {{0, 1}});
   EXPECT_THROW((void)waf_cds(g, 0), std::invalid_argument);
 }
 

@@ -45,9 +45,7 @@ TEST(DistAlzoubi, MisMatchesCentralizedIdRank) {
 TEST(DistAlzoubi, Preconditions) {
   EXPECT_THROW((void)distributed_alzoubi_cds(graph::Graph{}),
                std::invalid_argument);
-  graph::Graph disc(4);
-  disc.add_edge(0, 1);
-  disc.finalize();
+  const graph::Graph disc = test::make_graph(4, {{0, 1}});
   EXPECT_THROW((void)distributed_alzoubi_cds(disc), std::invalid_argument);
 }
 

@@ -35,9 +35,7 @@ TEST(DistGreedy, PathMatchesCentralizedConnectorCount) {
 TEST(DistGreedy, Preconditions) {
   EXPECT_THROW((void)distributed_greedy_cds(graph::Graph{}),
                std::invalid_argument);
-  graph::Graph disc(4);
-  disc.add_edge(0, 1);
-  disc.finalize();
+  const graph::Graph disc = test::make_graph(4, {{0, 1}});
   EXPECT_THROW((void)distributed_greedy_cds(disc), std::invalid_argument);
 }
 

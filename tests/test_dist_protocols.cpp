@@ -21,9 +21,7 @@ TEST(LeaderElection, FindsMinimumId) {
 }
 
 TEST(LeaderElection, DisconnectedThrows) {
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.finalize();
+  const graph::Graph g = test::make_graph(4, {{0, 1}});
   EXPECT_THROW((void)elect_leader(g), std::invalid_argument);
 }
 
@@ -44,9 +42,7 @@ TEST(BfsTree, MatchesCentralizedLevels) {
 }
 
 TEST(BfsTree, Preconditions) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.finalize();
+  const graph::Graph g = test::make_graph(3, {{0, 1}});
   EXPECT_THROW((void)build_bfs_tree(g, 0), std::invalid_argument);
   EXPECT_THROW((void)build_bfs_tree(test::make_path(3), 9),
                std::invalid_argument);

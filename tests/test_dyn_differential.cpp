@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/validate.hpp"
@@ -28,17 +29,16 @@ using mcds::dyn::DynamicCds;
 
 Graph oracle_udg(const std::vector<Vec2>& pos, const std::vector<bool>& alive,
                  double radius) {
-  Graph g(pos.size());
+  std::vector<std::pair<NodeId, NodeId>> edges;
   const double r2 = radius * radius;
   for (NodeId u = 0; u < pos.size(); ++u) {
     if (!alive[u]) continue;
     for (NodeId v = u + 1; v < pos.size(); ++v) {
       if (!alive[v]) continue;
-      if (mcds::geom::dist2(pos[u], pos[v]) <= r2) g.add_edge(u, v);
+      if (mcds::geom::dist2(pos[u], pos[v]) <= r2) edges.emplace_back(u, v);
     }
   }
-  g.finalize();
-  return g;
+  return Graph(pos.size(), edges);
 }
 
 class DynChurnStream : public ::testing::TestWithParam<std::uint64_t> {};

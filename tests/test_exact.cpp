@@ -81,9 +81,7 @@ TEST(ExactCds, WitnessIsConnectedDominating) {
 TEST(ExactCds, Preconditions) {
   EXPECT_THROW((void)minimum_connected_dominating_set(SmallGraph(graph::Graph{})),
                std::invalid_argument);
-  graph::Graph disconnected(4);
-  disconnected.add_edge(0, 1);
-  disconnected.finalize();
+  const graph::Graph disconnected = test::make_graph(4, {{0, 1}});
   EXPECT_THROW(
       (void)minimum_connected_dominating_set(SmallGraph(disconnected)),
       std::invalid_argument);

@@ -48,10 +48,7 @@ TEST(MinimumConnectors, Preconditions) {
   // Not dominating: {0} leaves nodes 2,3 undominated.
   EXPECT_THROW((void)minimum_connectors(g, to_mask({0})),
                std::invalid_argument);
-  graph::Graph disc(4);
-  disc.add_edge(0, 1);
-  disc.add_edge(2, 3);
-  disc.finalize();
+  const graph::Graph disc = test::make_graph(4, {{0, 1}, {2, 3}});
   EXPECT_THROW(
       (void)minimum_connectors(SmallGraph(disc), to_mask({0, 1, 2, 3})),
       std::invalid_argument);

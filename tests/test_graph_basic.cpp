@@ -11,7 +11,6 @@ TEST(Graph, EmptyGraph) {
   const Graph g;
   EXPECT_EQ(g.num_nodes(), 0u);
   EXPECT_EQ(g.num_edges(), 0u);
-  EXPECT_TRUE(g.finalized());
 }
 
 TEST(Graph, EdgelessGraph) {
@@ -22,10 +21,7 @@ TEST(Graph, EdgelessGraph) {
 }
 
 TEST(Graph, AddEdgeAndQuery) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.finalize();
+  const Graph g(4, test::Edges{{0, 1}, {1, 2}});
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 0));
@@ -37,11 +33,7 @@ TEST(Graph, AddEdgeAndQuery) {
 }
 
 TEST(Graph, NeighborsSortedAfterFinalize) {
-  Graph g(5);
-  g.add_edge(2, 4);
-  g.add_edge(2, 0);
-  g.add_edge(2, 3);
-  g.finalize();
+  const Graph g(5, test::Edges{{2, 4}, {2, 0}, {2, 3}});
   const auto nb = g.neighbors(2);
   ASSERT_EQ(nb.size(), 3u);
   EXPECT_EQ(nb[0], 0u);
@@ -50,37 +42,26 @@ TEST(Graph, NeighborsSortedAfterFinalize) {
 }
 
 TEST(Graph, DuplicateEdgesCollapse) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
-  g.add_edge(0, 1);
-  g.finalize();
+  const Graph g(3, test::Edges{{0, 1}, {1, 0}, {0, 1}});
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.degree(0), 1u);
 }
 
 TEST(Graph, InvalidEdgesThrow) {
-  Graph g(3);
-  EXPECT_THROW(g.add_edge(0, 3), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(3, 0), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(1, 1), std::invalid_argument);
-}
-
-TEST(Graph, HasEdgeRequiresFinalize) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_FALSE(g.finalized());
-  EXPECT_THROW((void)g.has_edge(0, 1), std::logic_error);
-  g.finalize();
-  EXPECT_TRUE(g.finalized());
-  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_THROW((void)Graph(3, test::Edges{{0, 3}}), std::invalid_argument);
+  EXPECT_THROW((void)Graph(3, test::Edges{{3, 0}}), std::invalid_argument);
+  EXPECT_THROW((void)Graph(3, test::Edges{{1, 1}}), std::invalid_argument);
+  // Every entry is checked, not only the head of the list.
+  EXPECT_THROW((void)Graph(3, test::Edges{{0, 1}, {1, 2}, {2, 3}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)Graph(3, test::Edges{{0, 1}, {1, 2}, {2, 2}}),
+               std::invalid_argument);
 }
 
 TEST(Graph, EdgeListConstructor) {
   const std::vector<std::pair<NodeId, NodeId>> edges{{0, 1}, {1, 2}, {2, 0}};
   const Graph g(3, edges);
   EXPECT_EQ(g.num_edges(), 3u);
-  EXPECT_TRUE(g.finalized());
 }
 
 TEST(Graph, EdgesEnumeration) {
@@ -96,13 +77,6 @@ TEST(Graph, CompleteGraphEdgeCount) {
   const Graph g = test::make_complete(7);
   EXPECT_EQ(g.num_edges(), 21u);
   for (NodeId v = 0; v < 7; ++v) EXPECT_EQ(g.degree(v), 6u);
-}
-
-TEST(Graph, FinalizeIdempotent) {
-  Graph g = test::make_cycle(5);
-  g.finalize();
-  g.finalize();
-  EXPECT_EQ(g.num_edges(), 5u);
 }
 
 }  // namespace

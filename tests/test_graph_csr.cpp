@@ -3,7 +3,7 @@
 // input edge list, on random unit-disk graphs and on the degenerate
 // shapes where an off-by-one in the row boundaries would hide (isolated
 // nodes, complete graphs, a single node, the empty graph). Graph::from_csr
-// must accept exactly the shapes finalize() produces.
+// must accept exactly the shapes the edge-list constructor produces.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "geom/vec2.hpp"
 #include "graph/graph.hpp"
 #include "graph/traversal.hpp"
+#include "sim/rng.hpp"
 #include "test_util.hpp"
 #include "udg/instance.hpp"
 
@@ -22,13 +23,7 @@ namespace {
 using mcds::graph::FrozenGraph;
 using mcds::graph::Graph;
 using mcds::graph::NodeId;
-using Edges = std::vector<std::pair<NodeId, NodeId>>;
-
-std::vector<NodeId> sorted(std::span<const NodeId> xs) {
-  std::vector<NodeId> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  return v;
-}
+using mcds::test::Edges;
 
 // Every pair of points at most one apart: a UDG's edge list, by brute
 // force.
@@ -45,7 +40,6 @@ Edges udg_edges(const std::vector<mcds::geom::Vec2>& pts) {
 // The CSR must hold, node by node, exactly the neighbor set the input
 // edge list gives (duplicates collapsed), each row sorted ascending.
 void expect_csr_matches(const Graph& g, const Edges& edges) {
-  ASSERT_TRUE(g.finalized());
   std::vector<std::vector<NodeId>> want(g.num_nodes());
   for (const auto& [u, v] : edges) {
     want[u].push_back(v);
@@ -101,9 +95,7 @@ TEST(GraphCsr, DifferentialBfsOrders) {
 }
 
 TEST(GraphCsr, IsolatedNodesHaveEmptyRows) {
-  Graph g(5);
-  g.add_edge(1, 3);
-  g.finalize();
+  const Graph g = mcds::test::make_graph(5, {{1, 3}});
   expect_csr_matches(g, {{1, 3}});
   const FrozenGraph fg(g);
   for (const NodeId u : {0u, 2u, 4u}) {
@@ -133,114 +125,42 @@ TEST(GraphCsr, CompleteGraph) {
 }
 
 TEST(GraphCsr, SingleNodeAndEmptyGraph) {
-  Graph one(1);
-  one.finalize();
+  const Graph one(1);
   expect_csr_matches(one, {});
   EXPECT_EQ(FrozenGraph(one).degree(0), 0u);
 
-  Graph empty;
-  empty.finalize();
+  const Graph empty;
   const FrozenGraph fg(empty);
   EXPECT_EQ(fg.num_nodes(), 0u);
   expect_csr_matches(empty, {});
 }
 
-TEST(GraphCsr, ThawRefreezeRoundTrip) {
-  // add_edge on a finalized graph must re-stage the CSR and finalize()
-  // must rebuild it with the new edge merged in sorted position.
-  Graph g(4);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  g.finalize();
-  ASSERT_TRUE(g.finalized());
-  g.add_edge(0, 1);
-  EXPECT_FALSE(g.finalized());
-  g.finalize();
-  EXPECT_EQ(g.num_edges(), 3u);
-  const std::vector<NodeId> expected{1, 2};
-  EXPECT_EQ(sorted(g.neighbors(0)), expected);
-  expect_csr_matches(g, {{0, 2}, {2, 3}, {0, 1}});
-}
-
-TEST(GraphCsr, FailedAddEdgeLeavesFinalizedStateIntact) {
-  // Argument validation happens before the thaw: a rejected add_edge on
-  // a finalized graph must not drop the CSR or flip the thaw state.
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.finalize();
-  EXPECT_THROW(g.add_edge(0, 7), std::invalid_argument);
-  EXPECT_THROW(g.add_edge(2, 2), std::invalid_argument);
-  EXPECT_TRUE(g.finalized());
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 2));
-}
-
-TEST(GraphCsr, ThawedAdjacencyStaysSymmetric) {
-  // Every committed edge must appear in both endpoint lists — add_edge
-  // pre-grows both before inserting, so there is no state in which an
-  // edge exists in one direction only. Verify by replaying a random
-  // graph through repeated thaw/refreeze cycles and diffing against a
-  // one-shot build.
-  const auto inst = mcds::udg::generate_instance({.nodes = 120}, 11);
-  const auto all = inst.graph.edges();
-  Graph cycled(inst.graph.num_nodes());
-  std::size_t next = 0;
-  // Feed edges in four chunks, finalizing between chunks so chunks 2-4
-  // go through the thaw path.
-  for (int chunk = 0; chunk < 4; ++chunk) {
-    const std::size_t stop =
-        chunk == 3 ? all.size() : (all.size() * (chunk + 1)) / 4;
-    for (; next < stop; ++next) cycled.add_edge(all[next].first, all[next].second);
-    cycled.finalize();
-    ASSERT_TRUE(cycled.finalized());
-    for (NodeId u = 0; u < cycled.num_nodes(); ++u) {
-      for (const NodeId v : cycled.neighbors(u)) {
-        EXPECT_TRUE(cycled.has_edge(v, u)) << u << "-" << v;
-      }
-    }
-  }
-  const auto co = cycled.offsets();
-  const auto io = inst.graph.offsets();
-  EXPECT_TRUE(std::equal(co.begin(), co.end(), io.begin(), io.end()));
-  const auto cn = cycled.flat_neighbors();
-  const auto in = inst.graph.flat_neighbors();
-  EXPECT_TRUE(std::equal(cn.begin(), cn.end(), in.begin(), in.end()));
-}
-
 TEST(GraphCsr, DuplicateEdgesCollapse) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
-  g.add_edge(0, 1);
-  g.finalize();
+  const Graph g(3, Edges{{0, 1}, {1, 0}, {0, 1}});
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.degree(0), 1u);
   EXPECT_EQ(g.degree(1), 1u);
+  // Each UDG edge three times — as is, reversed, and as is again — in a
+  // shuffled list must build exactly the plain list's CSR.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto inst = mcds::udg::generate_instance(
+        {.nodes = 150, .side = 9.0}, seed);
+    const Edges plain = udg_edges(inst.points);
+    Edges noisy;
+    for (const auto& [u, v] : plain) {
+      noisy.emplace_back(u, v);
+      noisy.emplace_back(v, u);
+      noisy.emplace_back(u, v);
+    }
+    mcds::sim::Rng rng(seed);
+    rng.shuffle(noisy);
+    const Graph built(inst.points.size(), noisy);
+    EXPECT_EQ(built.num_edges(), plain.size()) << "seed " << seed;
+    expect_csr_matches(built, plain);
+  }
 }
 
-TEST(GraphCsr, FrozenViewRequiresFinalized) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  EXPECT_FALSE(g.finalized());
-  EXPECT_THROW(FrozenGraph{g}, std::logic_error);
-  g.finalize();
-  EXPECT_NO_THROW(FrozenGraph{g});
-}
-
-TEST(GraphCsr, EdgeListConstructorMatchesIncremental) {
-  const std::vector<std::pair<NodeId, NodeId>> edges{
-      {0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}};
-  const Graph from_list(4, edges);
-  Graph incremental(4);
-  for (const auto& [u, v] : edges) incremental.add_edge(u, v);
-  incremental.finalize();
-  EXPECT_EQ(from_list.edges(), incremental.edges());
-  expect_csr_matches(from_list, edges);
-}
-
-TEST(GraphCsr, FromCsrAdoptsTheAddEdgeBuild) {
+TEST(GraphCsr, FromCsrAdoptsTheEdgeListBuild) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const auto inst = mcds::udg::generate_instance(
         {.nodes = 150, .side = 9.0}, seed);
@@ -249,7 +169,6 @@ TEST(GraphCsr, FromCsrAdoptsTheAddEdgeBuild) {
     const auto neighbors = built.flat_neighbors();
     const Graph adopted = Graph::from_csr({offsets.begin(), offsets.end()},
                                           {neighbors.begin(), neighbors.end()});
-    EXPECT_TRUE(adopted.finalized());
     EXPECT_TRUE(mcds::test::same_csr(adopted, built)) << "seed " << seed;
     EXPECT_EQ(adopted.num_nodes(), built.num_nodes());
     EXPECT_EQ(adopted.num_edges(), built.num_edges());
@@ -258,12 +177,6 @@ TEST(GraphCsr, FromCsrAdoptsTheAddEdgeBuild) {
   const Graph empty = Graph::from_csr({0}, {});
   EXPECT_EQ(empty.num_nodes(), 0u);
   EXPECT_EQ(empty.num_edges(), 0u);
-  // Mutating an adopted graph thaws it like any finalized graph.
-  Graph path = Graph::from_csr({0, 1, 2, 2}, {1, 0});
-  path.add_edge(1, 2);
-  EXPECT_THROW(path.add_edge(2, 2), std::invalid_argument);
-  path.finalize();
-  expect_csr_matches(path, {{0, 1}, {1, 2}});
 }
 
 TEST(GraphCsr, FromCsrRejectsMalformedShapes) {

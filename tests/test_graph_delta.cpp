@@ -1,12 +1,11 @@
 // DeltaGraph: the mutable overlay over an immutable CSR base. The
 // contract under test is differential — after any interleaving of edge
 // flips, iteration must present exactly the adjacency a from-scratch
-// finalized Graph holds, in the same (ascending) order, and the edit
+// Graph holds, in the same (ascending) order, and the edit
 // accounting must reach zero when flips cancel.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "graph/delta_graph.hpp"
 #include "graph/graph.hpp"
 #include "sim/rng.hpp"
+#include "test_util.hpp"
 #include "udg/instance.hpp"
 
 namespace {
@@ -23,15 +23,11 @@ using mcds::graph::EdgeDelta;
 using mcds::graph::Graph;
 using mcds::graph::NodeId;
 
-Graph line_graph(std::size_t n) {
-  Graph g(n);
-  for (NodeId u = 0; u + 1 < n; ++u) g.add_edge(u, u + 1);
-  g.finalize();
-  return g;
-}
+using mcds::test::make_graph;
+using mcds::test::make_path;
 
 // Neighbor iteration must be identical (order included) to a rebuilt
-// finalized Graph with the same edge set.
+// Graph with the same edge set, and materialize() must rebuild its CSR.
 void expect_matches(const DeltaGraph& dg, const Graph& oracle) {
   ASSERT_EQ(dg.num_nodes(), oracle.num_nodes());
   ASSERT_EQ(dg.num_edges(), oracle.num_edges());
@@ -44,13 +40,7 @@ void expect_matches(const DeltaGraph& dg, const Graph& oracle) {
         << "node " << u;
     EXPECT_EQ(dg.neighbors_copy(u), seen) << "node " << u;
   }
-  const Graph mat = dg.materialize();
-  const auto mo = mat.offsets();
-  const auto oo = oracle.offsets();
-  EXPECT_TRUE(std::equal(mo.begin(), mo.end(), oo.begin(), oo.end()));
-  const auto mn = mat.flat_neighbors();
-  const auto on = oracle.flat_neighbors();
-  EXPECT_TRUE(std::equal(mn.begin(), mn.end(), on.begin(), on.end()));
+  EXPECT_TRUE(mcds::test::same_csr(dg.materialize(), oracle));
 }
 
 TEST(DynDeltaGraph, UntouchedNodesMirrorBase) {
@@ -61,26 +51,20 @@ TEST(DynDeltaGraph, UntouchedNodesMirrorBase) {
 }
 
 TEST(DynDeltaGraph, AddAndRemoveAgainstOracle) {
-  DeltaGraph dg(line_graph(6));
+  DeltaGraph dg(make_path(6));
   dg.remove_edge(2, 3);
   dg.add_edge(0, 5);
   dg.add_edge(3, 1);
 
-  Graph oracle(6);
-  oracle.add_edge(0, 1);
-  oracle.add_edge(1, 2);
-  oracle.add_edge(3, 4);
-  oracle.add_edge(4, 5);
-  oracle.add_edge(0, 5);
-  oracle.add_edge(1, 3);
-  oracle.finalize();
+  const Graph oracle =
+      make_graph(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {0, 5}, {1, 3}});
   expect_matches(dg, oracle);
   EXPECT_TRUE(dg.has_edge(5, 0));
   EXPECT_FALSE(dg.has_edge(2, 3));
 }
 
 TEST(DynDeltaGraph, ExactDeltaErrors) {
-  DeltaGraph dg(line_graph(4));
+  DeltaGraph dg(make_path(4));
   EXPECT_THROW(dg.add_edge(0, 1), std::invalid_argument);   // duplicate
   EXPECT_THROW(dg.remove_edge(0, 2), std::invalid_argument);  // absent
   EXPECT_THROW(dg.add_edge(1, 1), std::invalid_argument);   // self-loop
@@ -90,7 +74,7 @@ TEST(DynDeltaGraph, ExactDeltaErrors) {
 }
 
 TEST(DynDeltaGraph, CancellingFlipsDrainTheOverlay) {
-  DeltaGraph dg(line_graph(5));
+  DeltaGraph dg(make_path(5));
   // Tombstone a base edge, then restore it: net zero overlay.
   dg.remove_edge(1, 2);
   EXPECT_EQ(dg.overlay_edits(), 2u);
@@ -101,35 +85,26 @@ TEST(DynDeltaGraph, CancellingFlipsDrainTheOverlay) {
   EXPECT_EQ(dg.overlay_edits(), 2u);
   dg.remove_edge(0, 4);
   EXPECT_EQ(dg.overlay_edits(), 0u);
-  expect_matches(dg, line_graph(5));
+  expect_matches(dg, make_path(5));
 }
 
 TEST(DynDeltaGraph, AddNodeExtendsIdSpace) {
-  DeltaGraph dg(line_graph(3));
+  DeltaGraph dg(make_path(3));
   const NodeId v = dg.add_node();
   EXPECT_EQ(v, 3u);
   EXPECT_EQ(dg.degree(v), 0u);
   dg.add_edge(v, 0);
-  Graph oracle(4);
-  oracle.add_edge(0, 1);
-  oracle.add_edge(1, 2);
-  oracle.add_edge(0, 3);
-  oracle.finalize();
+  const Graph oracle = make_graph(4, {{0, 1}, {1, 2}, {0, 3}});
   expect_matches(dg, oracle);
 }
 
 TEST(DynDeltaGraph, ApplyDeltaRemovalsBeforeAdditions) {
-  DeltaGraph dg(line_graph(4));
+  DeltaGraph dg(make_path(4));
   EdgeDelta d;
   d.removed = {{1, 2}};
   d.added = {{0, 2}, {1, 3}};
   dg.apply(d);
-  Graph oracle(4);
-  oracle.add_edge(0, 1);
-  oracle.add_edge(2, 3);
-  oracle.add_edge(0, 2);
-  oracle.add_edge(1, 3);
-  oracle.finalize();
+  const Graph oracle = make_graph(4, {{0, 1}, {2, 3}, {0, 2}, {1, 3}});
   expect_matches(dg, oracle);
 }
 
@@ -148,7 +123,7 @@ TEST(DynDeltaGraph, NormalizeCancelsMatchedPairs) {
 
 TEST(DynDeltaGraph, CompactionThresholdAndReset) {
   // Tiny threshold so a handful of edits trigger compaction.
-  DeltaGraph dg(line_graph(8), /*compact_fraction=*/0.25,
+  DeltaGraph dg(make_path(8), /*compact_fraction=*/0.25,
                 /*compact_min_edits=*/4);
   EXPECT_FALSE(dg.compaction_due());
   dg.add_edge(0, 7);
@@ -188,14 +163,13 @@ TEST(DynDeltaGraph, RandomizedDifferential) {
       }
       if (dg.compaction_due()) dg.compact();
     }
-    Graph oracle(dg.num_nodes());
+    mcds::test::Edges edges;
     for (NodeId u = 0; u < dg.num_nodes(); ++u) {
       for (NodeId v = u + 1; v < dg.num_nodes(); ++v) {
-        if (has[u][v]) oracle.add_edge(u, v);
+        if (has[u][v]) edges.emplace_back(u, v);
       }
     }
-    oracle.finalize();
-    expect_matches(dg, oracle);
+    expect_matches(dg, Graph(dg.num_nodes(), edges));
   }
 }
 

@@ -33,11 +33,7 @@ TEST(Metrics, StarGraph) {
 }
 
 TEST(Metrics, DisconnectedComponentsCounted) {
-  Graph g(7);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.finalize();
+  const Graph g = test::make_graph(7, {{0, 1}, {2, 3}, {3, 4}});
   const GraphMetrics m = compute_metrics(g);
   EXPECT_EQ(m.components, 4u);  // {0,1}, {2,3,4}, {5}, {6}
   EXPECT_EQ(m.min_degree, 0u);

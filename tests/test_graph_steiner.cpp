@@ -44,9 +44,7 @@ TEST(ShortestPathAugment, Preconditions) {
   const Graph g = test::make_path(4);
   EXPECT_THROW((void)shortest_path_augment(g, {}), std::invalid_argument);
   EXPECT_THROW((void)shortest_path_augment(g, {9}), std::invalid_argument);
-  Graph disc(4);
-  disc.add_edge(0, 1);
-  disc.finalize();
+  const Graph disc = test::make_graph(4, {{0, 1}});
   EXPECT_THROW((void)shortest_path_augment(disc, {0, 2}),
                std::invalid_argument);
 }

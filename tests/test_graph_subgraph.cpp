@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <utility>
+#include <vector>
+
+#include "graph/traversal.hpp"
+#include "sim/rng.hpp"
 #include "test_util.hpp"
+#include "udg/instance.hpp"
 
 namespace mcds::graph {
 namespace {
@@ -19,14 +26,36 @@ TEST(InducedSubgraph, CycleMinusOneNodeIsPath) {
 }
 
 TEST(InducedSubgraph, MappingRoundTrips) {
-  const Graph g = test::make_grid(3, 3);
-  const std::vector<NodeId> keep{8, 4, 0};
-  const auto sub = induced_subgraph(g, keep);
-  // Edges in the subgraph must exist between the mapped originals.
-  for (NodeId u = 0; u < sub.graph.num_nodes(); ++u) {
-    for (const NodeId v : sub.graph.neighbors(u)) {
-      EXPECT_TRUE(g.has_edge(sub.mapping[u], sub.mapping[v]));
+  const Graph grid = test::make_grid(3, 3);
+  const auto inst = udg::generate_instance({.nodes = 150, .side = 9.0}, 3);
+  std::vector<NodeId> shuffled(inst.graph.num_nodes());
+  std::iota(shuffled.begin(), shuffled.end(), NodeId{0});
+  sim::Rng rng(17);
+  rng.shuffle(shuffled);
+  shuffled.resize(100);
+  // Node lists in any order, so a row's new ids need not ascend.
+  const std::vector<std::pair<const Graph*, std::vector<NodeId>>> cases{
+      {&grid, {8, 4, 0}}, {&grid, {8, 5, 4, 7}}, {&inst.graph, shuffled}};
+  for (const auto& [g, keep] : cases) {
+    const auto sub = induced_subgraph(*g, keep);
+    EXPECT_EQ(sub.mapping, keep);
+    // Edges in the subgraph must exist between the mapped originals.
+    for (NodeId u = 0; u < sub.graph.num_nodes(); ++u) {
+      for (const NodeId v : sub.graph.neighbors(u)) {
+        EXPECT_TRUE(g->has_edge(sub.mapping[u], sub.mapping[v]));
+      }
     }
+    // And the CSR is the edge-list build of g's edges between members,
+    // renamed to positions in `keep`.
+    std::vector<NodeId> pos(g->num_nodes(), kNoNode);
+    for (NodeId i = 0; i < keep.size(); ++i) pos[keep[i]] = i;
+    test::Edges mapped;
+    for (const auto& [u, v] : g->edges()) {
+      if (pos[u] != kNoNode && pos[v] != kNoNode) {
+        mapped.emplace_back(pos[u], pos[v]);
+      }
+    }
+    EXPECT_TRUE(test::same_csr(sub.graph, Graph(keep.size(), mapped)));
   }
 }
 

@@ -28,20 +28,13 @@ TEST(Bfs, StarFromCenterAndLeaf) {
 }
 
 TEST(Bfs, DeterministicNeighborOrder) {
-  Graph g(4);
-  g.add_edge(0, 3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.finalize();
+  const Graph g = test::make_graph(4, {{0, 3}, {0, 1}, {0, 2}});
   const BfsResult r = bfs(g, 0);
   EXPECT_EQ(r.order, (std::vector<NodeId>{0, 1, 2, 3}));
 }
 
 TEST(Bfs, UnreachableNodesMarked) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.finalize();
+  const Graph g = test::make_graph(4, {{0, 1}, {2, 3}});
   const BfsResult r = bfs(g, 0);
   EXPECT_EQ(r.reached(), 2u);
   EXPECT_EQ(r.level[2], kNoNode);
@@ -54,11 +47,7 @@ TEST(Bfs, RootOutOfRangeThrows) {
 }
 
 TEST(Components, CountsAndLabels) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(4, 5);
-  g.finalize();
+  const Graph g = test::make_graph(6, {{0, 1}, {1, 2}, {4, 5}});
   const auto [label, count] = connected_components(g);
   EXPECT_EQ(count, 3u);
   EXPECT_EQ(label[0], label[1]);
@@ -69,9 +58,7 @@ TEST(Components, CountsAndLabels) {
 }
 
 TEST(Components, LabelOrderIsBySmallestNode) {
-  Graph g(4);
-  g.add_edge(2, 3);
-  g.finalize();
+  const Graph g = test::make_graph(4, {{2, 3}});
   const auto [label, count] = connected_components(g);
   EXPECT_EQ(count, 3u);
   EXPECT_EQ(label[0], 0u);
@@ -84,9 +71,7 @@ TEST(IsConnected, Basics) {
   EXPECT_TRUE(is_connected(Graph{}));
   EXPECT_TRUE(is_connected(Graph{1}));
   EXPECT_TRUE(is_connected(test::make_cycle(4)));
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.finalize();
+  const Graph g = test::make_graph(3, {{0, 1}});
   EXPECT_FALSE(is_connected(g));
 }
 
@@ -100,9 +85,7 @@ TEST(Diameter, KnownGraphs) {
 }
 
 TEST(Diameter, DisconnectedThrows) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.finalize();
+  const Graph g = test::make_graph(3, {{0, 1}});
   EXPECT_THROW((void)diameter_hops(g), std::invalid_argument);
 }
 
@@ -118,9 +101,7 @@ TEST(ShortestPath, GridPath) {
 }
 
 TEST(ShortestPath, UnreachableReturnsEmpty) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.finalize();
+  const Graph g = test::make_graph(3, {{0, 1}});
   EXPECT_TRUE(shortest_path(g, 0, 2).empty());
   EXPECT_EQ(shortest_path(g, 1, 1), (std::vector<NodeId>{1}));
 }

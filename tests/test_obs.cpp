@@ -22,6 +22,7 @@
 #include "dist/runtime.hpp"
 #include "obs/obs.hpp"
 #include "obs/timer.hpp"
+#include "test_util.hpp"
 #include "udg/instance.hpp"
 
 // Allocation counter fed by the replaced global operator new in
@@ -37,13 +38,6 @@ using dist::Message;
 using dist::Runtime;
 using graph::Graph;
 using graph::NodeId;
-
-Graph path2() {
-  Graph g(2);
-  g.add_edge(0, 1);
-  g.finalize();
-  return g;
-}
 
 udg::UdgInstance instance(std::size_t n, std::uint64_t seed = 5) {
   udg::InstanceParams params;
@@ -403,7 +397,7 @@ class Chatter final : public dist::Protocol {
 };
 
 TEST(RoundLimit, BreakdownNamesProtocolAndTypes) {
-  const Graph g = path2();
+  const Graph g = test::make_path(2);
   Runtime rt(g);
   rt.observe(obs::Obs{}, "chatter");
   Chatter p(rt);
@@ -427,7 +421,7 @@ TEST(RoundLimit, BreakdownNamesProtocolAndTypes) {
 }
 
 TEST(RoundLimit, WhatAppendsTraceTailPostMortemWhenRecorderAttached) {
-  const Graph g = path2();
+  const Graph g = test::make_path(2);
   obs::TraceRecorder tr;
   obs::Obs o;
   o.trace = &tr;

@@ -23,6 +23,7 @@
 #include "obs/causal.hpp"
 #include "obs/metrics.hpp"
 #include "par/thread_pool.hpp"
+#include "test_util.hpp"
 #include "udg/builder.hpp"
 #include "udg/instance.hpp"
 
@@ -33,13 +34,6 @@ using dist::Message;
 using dist::Runtime;
 using graph::Graph;
 using graph::NodeId;
-
-Graph path(std::size_t n) {
-  Graph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
-  g.finalize();
-  return g;
-}
 
 udg::UdgInstance instance(std::size_t n, std::uint64_t seed = 5) {
   udg::InstanceParams params;
@@ -244,7 +238,7 @@ TEST(CausalJsonl, OneObjectPerSpanWithDeliveryStatus) {
 
 TEST(RuntimeCausal, RelayChainDepthEqualsHopCount) {
   constexpr std::size_t kNodes = 7;  // 6 hops
-  const Graph g = path(kNodes);
+  const Graph g = test::make_path(kNodes);
   obs::CausalTracer tracer;
   obs::Obs o;
   o.causal = &tracer;
@@ -270,7 +264,7 @@ TEST(RuntimeCausal, RelayChainDepthEqualsHopCount) {
 }
 
 TEST(RuntimeCausal, UntracedRunStampsNoSpans) {
-  const Graph g = path(4);
+  const Graph g = test::make_path(4);
   Runtime rt(g);  // no observe(): causal stays off
   Relay p(rt);
   const auto stats = rt.run(p);
@@ -278,7 +272,7 @@ TEST(RuntimeCausal, UntracedRunStampsNoSpans) {
 }
 
 TEST(RuntimeCausal, CrashDiscardedMessageLeavesUndeliveredSpan) {
-  const Graph g = path(2);
+  const Graph g = test::make_path(2);
   dist::FaultPlan plan;
   plan.schedule.push_back({1, 1, false});  // node 1 dies at round 1
   obs::CausalTracer tracer;
@@ -297,7 +291,7 @@ TEST(RuntimeCausal, CrashDiscardedMessageLeavesUndeliveredSpan) {
 }
 
 TEST(RuntimeCausal, ChannelDroppedSendRecordsNoSpan) {
-  const Graph g = path(2);
+  const Graph g = test::make_path(2);
   dist::FaultPlan plan;
   plan.link.drop = 1.0;  // every transmission is lost at the channel
   obs::CausalTracer tracer;
@@ -316,7 +310,7 @@ TEST(RuntimeCausal, ChannelDroppedSendRecordsNoSpan) {
 
 TEST(RuntimeCausal, ReliableRetransmissionsExtendTheOriginalChain) {
   constexpr std::size_t kNodes = 7;
-  const Graph g = path(kNodes);
+  const Graph g = test::make_path(kNodes);
 
   // Clean reliable baseline.
   const auto run_reliable = [&](const dist::FaultPlan& plan,

@@ -30,17 +30,16 @@ using mcds::udg::GridIndex;
 // Unit-disk graph over the alive slots of (pos, alive), brute force.
 Graph oracle_udg(const std::vector<Vec2>& pos,
                  const std::vector<bool>& alive, double radius) {
-  Graph g(pos.size());
+  std::vector<std::pair<NodeId, NodeId>> edges;
   const double r2 = radius * radius;
   for (NodeId u = 0; u < pos.size(); ++u) {
     if (!alive[u]) continue;
     for (NodeId v = u + 1; v < pos.size(); ++v) {
       if (!alive[v]) continue;
-      if (mcds::geom::dist2(pos[u], pos[v]) <= r2) g.add_edge(u, v);
+      if (mcds::geom::dist2(pos[u], pos[v]) <= r2) edges.emplace_back(u, v);
     }
   }
-  g.finalize();
-  return g;
+  return Graph(pos.size(), edges);
 }
 
 void expect_same_csr(const Graph& a, const Graph& b) {
