@@ -44,9 +44,10 @@ elif [[ "${SANITIZE:-0}" == "tsan" ]]; then
 fi
 
 # Prefer Ninja when available, but match ROADMAP's tier-1 command (the
-# default generator) when it is not.
+# default generator) when it is not. A tree that is already configured
+# keeps its generator: CMake refuses to switch one.
 generator=()
-if command -v ninja >/dev/null 2>&1; then
+if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]] && command -v ninja >/dev/null 2>&1; then
   generator=(-G Ninja)
 fi
 cmake -B "$BUILD_DIR" -S . "${generator[@]}" "${cmake_extra[@]}"

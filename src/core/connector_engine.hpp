@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <queue>
@@ -43,6 +45,14 @@
 /// by gain/weight for the node-weighted (1,m)-CDS family (kmcds.hpp).
 /// ConnectorEngine is the unit-gain instantiation every plain-CDS
 /// production caller uses.
+///
+/// Callers: greedy_connectors and the (k,m) builders drain select_next(),
+/// which relies on Lemma 9 (a BFS-ordered phase-1 MIS never stalls).
+/// The two repair paths drain poll() instead: core::repair's
+/// restore_connectivity falls back to graph::shortest_path_augment when
+/// the engine stalls, and LocalBackbone::rebuild_connectors, whose
+/// maintained MIS is only arbitrary-maximal, patches each stall with
+/// bridge_gap() and drains again.
 ///
 /// Policy requirements (duck-typed; both shipped policies model it):
 ///   using Score = <totally ordered, equality-comparable value type>;
@@ -104,24 +114,16 @@ class BasicConnectorEngine {
         c_stale_(obs.counter("connector_engine.stale_rescores")),
         c_retired_(obs.counter("connector_engine.retired")) {
     const std::size_t n = g_.num_nodes();
+    // Admitting the seed one by one unites member-member edges. For an
+    // independent seed (the intended use) nothing merges; for arbitrary
+    // seeds it reproduces the component structure subset_components
+    // would report.
     for (const NodeId u : members) {
       if (u >= n) throw std::invalid_argument("ConnectorEngine: bad node");
       if (member_[u]) {
         throw std::invalid_argument("ConnectorEngine: duplicate member");
       }
-      member_[u] = true;
-    }
-    q_ = members.size();
-    // Unite member-member edges. For an independent seed (the intended
-    // use) this is a no-op scan; for arbitrary seeds it reproduces the
-    // component structure subset_components would report.
-    for (const NodeId u : members) {
-      for (const NodeId v : g_.neighbors(u)) {
-        if (v < u && member_[v] && uf_.unite(u, v)) {
-          --q_;
-          if (c_uf_merges_) c_uf_merges_->add();
-        }
-      }
+      admit(u);
     }
     if (policy_.done(q_)) return;
     // Seed the lazy queue: per Lemma 9 a positive-gain node always exists
@@ -155,8 +157,7 @@ class BasicConnectorEngine {
   /// positive-gain node remains although q > 1. A BFS-ordered phase-1 MIS
   /// never stalls, but an *arbitrary* maximal independent set can leave
   /// member components exactly 3 hops apart, which no single node can
-  /// merge; callers that feed such seeds (the dynamic engine's connector
-  /// rebuild) poll and patch the 3-hop gap themselves.
+  /// merge (bridge_gap() patches such a gap in place).
   std::optional<GreedyStep> poll() {
     while (!heap_.empty()) {
       const Entry top = heap_.top();
@@ -176,17 +177,45 @@ class BasicConnectorEngine {
       }
       const auto gain = static_cast<std::uint32_t>(distinct - 1);
       const GreedyStep step{top.node, q_, gain};
-      member_[top.node] = true;
-      for (const NodeId v : g_.neighbors(top.node)) {
-        if (member_[v] && uf_.unite(top.node, v) && c_uf_merges_) {
-          c_uf_merges_->add();
+      admit(top.node);  // `distinct` components and the node merge into one
+      refresh_neighbors(top.node);
+      return step;
+    }
+    return std::nullopt;
+  }
+
+  /// The stall patch: once poll() has returned std::nullopt, admits the
+  /// non-members x and y of the first member–x–y–member path whose end
+  /// members lie in different components, scanning member asc, then x
+  /// asc, then y asc, and returns {x, y} (one merge); std::nullopt when
+  /// no such path is left. At a stall no non-member touches two
+  /// components, so y's first member neighbor decides whether y closes a
+  /// gap. Called before a stall (candidates still queued and q > 1), it
+  /// throws std::logic_error.
+  std::optional<std::array<NodeId, 2>> bridge_gap() {
+    if (policy_.done(q_)) return std::nullopt;
+    if (!heap_.empty()) {
+      throw std::logic_error("ConnectorEngine: bridge_gap before a stall");
+    }
+    const std::size_t n = g_.num_nodes();
+    for (NodeId m = 0; m < n; ++m) {
+      if (!member_[m]) continue;
+      const std::uint32_t root = uf_.find(m);
+      for (const NodeId x : g_.neighbors(m)) {
+        if (member_[x]) continue;
+        for (const NodeId y : g_.neighbors(x)) {
+          if (member_[y]) continue;
+          const auto nbrs = g_.neighbors(y);
+          const auto z = std::find_if(nbrs.begin(), nbrs.end(),
+                                      [&](NodeId v) { return member_[v]; });
+          if (z == nbrs.end() || uf_.find(*z) == root) continue;
+          admit(x);
+          admit(y);
+          refresh_neighbors(x);
+          refresh_neighbors(y);
+          return std::array<NodeId, 2>{x, y};
         }
       }
-      q_ -= gain;  // `distinct` components and the new node merge into one
-      for (const NodeId v : g_.neighbors(top.node)) {
-        if (!member_[v]) push_if_candidate(v);
-      }
-      return step;
     }
     return std::nullopt;
   }
@@ -219,6 +248,27 @@ class BasicConnectorEngine {
     return distinct;
   }
 
+  /// Adds \p w to the member set and merges it with every member
+  /// component it touches.
+  void admit(NodeId w) {
+    member_[w] = true;
+    ++q_;
+    for (const NodeId v : g_.neighbors(w)) {
+      if (member_[v] && uf_.unite(w, v)) {
+        --q_;
+        if (c_uf_merges_) c_uf_merges_->add();
+      }
+    }
+  }
+
+  /// Re-scores the non-member neighbors of a fresh member, the only nodes
+  /// whose gain its arrival can raise.
+  void refresh_neighbors(NodeId w) {
+    for (const NodeId v : g_.neighbors(w)) {
+      if (!member_[v]) push_if_candidate(v);
+    }
+  }
+
   void push_if_candidate(NodeId w) {
     const std::size_t distinct = distinct_adjacent(w);
     if (distinct >= 2) {
@@ -246,17 +296,20 @@ extern template class BasicConnectorEngine<UnitGainPolicy>;
 extern template class BasicConnectorEngine<NodeWeightedGainPolicy>;
 
 /// The production engine: the unit-gain instantiation, constructible
-/// straight from a Graph.
+/// straight from a Graph. It reads \p g through a view, so \p g must
+/// outlive the engine; a temporary graph does not compile.
 class ConnectorEngine : public BasicConnectorEngine<UnitGainPolicy> {
  public:
   ConnectorEngine(const Graph& g, std::span<const NodeId> members,
                   const obs::Obs& obs = {})
       : BasicConnectorEngine(graph::FrozenGraph(g), members, UnitGainPolicy{},
                              obs) {}
+  ConnectorEngine(Graph&& g, std::span<const NodeId> members,
+                  const obs::Obs& obs = {}) = delete;
 };
 
-/// The node-weighted engine used by kmcds_weighted's phase 2. \p weight
-/// must outlive the engine (the policy holds a span).
+/// The node-weighted engine used by kmcds_weighted's phase 2. \p g and
+/// \p weight must outlive the engine (it holds a view and a span).
 class WeightedConnectorEngine
     : public BasicConnectorEngine<NodeWeightedGainPolicy> {
  public:
@@ -265,6 +318,9 @@ class WeightedConnectorEngine
                           const obs::Obs& obs = {})
       : BasicConnectorEngine(graph::FrozenGraph(g), members,
                              NodeWeightedGainPolicy{weight}, obs) {}
+  WeightedConnectorEngine(Graph&& g, std::span<const NodeId> members,
+                          std::span<const double> weight,
+                          const obs::Obs& obs = {}) = delete;
 };
 
 }  // namespace mcds::core

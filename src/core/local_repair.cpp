@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "core/connector_engine.hpp"
-#include "graph/subgraph.hpp"
-#include "graph/traversal.hpp"
 #include "graph/union_find.hpp"
 
 namespace mcds::core {
@@ -26,39 +24,6 @@ void sort_unique(std::vector<NodeId>& v) {
 void fill_neighbors(const DeltaGraph& g, NodeId u, std::vector<NodeId>& out) {
   out.clear();
   g.for_each_neighbor(u, [&](NodeId v) { out.push_back(v); });
-}
-
-/// Patches one 3-hop gap between member fragments of the connected graph
-/// \p g: labels the fragments, then scans (m asc, x asc, y asc, z asc)
-/// for a member—x—y—member path crossing two of them and promotes the
-/// pair {x, y}. The scan order makes the patch deterministic. Returns
-/// false when the members already form one fragment (or no such path
-/// exists, which a maximal seed rules out).
-bool bridge_three_hop_gap(const graph::Graph& g, std::vector<NodeId>& mem,
-                          std::vector<std::uint8_t>& is_mem) {
-  const auto [labels, q] = graph::subset_components(g, mem);
-  if (q <= 1) return false;
-  constexpr auto kNoComp = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> comp(g.num_nodes(), kNoComp);
-  for (std::size_t i = 0; i < mem.size(); ++i) comp[mem[i]] = labels[i];
-  for (NodeId m = 0; m < g.num_nodes(); ++m) {
-    if (!is_mem[m]) continue;
-    for (const NodeId x : g.neighbors(m)) {
-      if (is_mem[x]) continue;
-      for (const NodeId y : g.neighbors(x)) {
-        if (is_mem[y] || y == x) continue;
-        for (const NodeId z : g.neighbors(y)) {
-          if (!is_mem[z] || comp[z] == comp[m]) continue;
-          is_mem[x] = 1;
-          mem.push_back(x);
-          is_mem[y] = 1;
-          mem.push_back(y);
-          return true;
-        }
-      }
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -114,74 +79,35 @@ void LocalBackbone::rebuild_connectors(const DeltaGraph& g,
   if (alive.size() != n) {
     throw std::invalid_argument("LocalBackbone: alive size mismatch");
   }
+  // Phase 2 as one engine over the whole topology. Dead nodes have no
+  // edges, and components never interact, so each component is still
+  // connected in its own max-gain order. The *maintained* MIS is
+  // arbitrary-maximal (not BFS-ordered like the paper's phase 1), so
+  // member fragments can sit exactly 3 hops apart — a gap no single
+  // max-gain connector can merge. Each stall is patched with a connector
+  // pair and the engine drained again, until no gap is left.
+  const graph::Graph full = g.materialize();
+  for (NodeId v = 0; v < n; ++v) {
+    if (!alive[v] && full.degree(v) != 0) {
+      throw std::invalid_argument("LocalBackbone: dead node with edges");
+    }
+  }
   grow(n);
   std::copy(in_mis_.begin(), in_mis_.end(), in_cds_.begin());
   cds_size_ = mis_size_;
   cds_dirty_ = true;
   if (mis_size_ == 0) return;
 
-  std::vector<NodeId> alive_list;
-  alive_list.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    if (alive[v]) alive_list.push_back(v);
-  }
-  const graph::Graph full = g.materialize();
-  const auto induced = graph::induced_subgraph(full, alive_list);
-  const auto [labels, count] = graph::connected_components(induced.graph);
-  std::vector<std::vector<NodeId>> comp_nodes(count);
-  for (NodeId local = 0; local < induced.mapping.size(); ++local) {
-    comp_nodes[labels[local]].push_back(local);
-  }
-  // Phase 2 per component: the engine needs a connected graph and a
-  // maximal seed of it, both of which hold component-wise. The
-  // *maintained* MIS is arbitrary-maximal (not BFS-ordered like the
-  // paper's phase 1), so member fragments can sit exactly 3 hops apart —
-  // a gap no single max-gain connector can merge. When the engine
-  // stalls, patch one such gap with a connector pair and restart it;
-  // every pair merges >= 2 fragments, so the restarts are bounded by the
-  // seed size.
-  for (std::size_t c = 0; c < count; ++c) {
-    std::size_t members = 0;
-    for (const NodeId local : comp_nodes[c]) {
-      if (in_mis_[induced.mapping[local]]) ++members;
-    }
-    if (members <= 1) continue;
-    const auto sub = graph::induced_subgraph(induced.graph, comp_nodes[c]);
-    std::vector<NodeId> mem;
-    mem.reserve(members);
-    std::vector<std::uint8_t> is_mem(sub.graph.num_nodes(), 0);
-    for (NodeId i = 0; i < sub.mapping.size(); ++i) {
-      if (in_mis_[induced.mapping[sub.mapping[i]]]) {
-        mem.push_back(i);
-        is_mem[i] = 1;
-      }
-    }
-    while (true) {
-      ConnectorEngine eng(sub.graph, mem);
-      bool stalled = false;
-      while (!eng.done()) {
-        const auto step = eng.poll();
-        if (!step) {
-          stalled = true;
-          break;
-        }
-        is_mem[step->node] = 1;
-        mem.push_back(step->node);
-      }
-      if (!stalled) break;
-      if (!bridge_three_hop_gap(sub.graph, mem, is_mem)) {
-        throw std::logic_error(
-            "LocalBackbone: stalled phase 2 with no 3-hop gap (seed not a "
-            "maximal independent set of the component?)");
-      }
-    }
-    for (const NodeId local : mem) {
-      const NodeId orig = induced.mapping[sub.mapping[local]];
-      if (!in_cds_[orig]) {
-        in_cds_[orig] = 1;
-        ++cds_size_;
-      }
-    }
+  ConnectorEngine engine(full, mis());
+  const auto add = [&](NodeId v) {
+    in_cds_[v] = 1;
+    ++cds_size_;
+  };
+  while (true) {
+    while (const auto step = engine.poll()) add(step->node);
+    const auto gap = engine.bridge_gap();
+    if (!gap) return;
+    for (const NodeId v : *gap) add(v);
   }
 }
 

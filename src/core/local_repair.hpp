@@ -38,6 +38,13 @@
 /// The per-event cost is O(Σ deg(touched) + repaired scope); the engine
 /// layer (src/dyn) adds the 4|MIS|+12 envelope policy and compaction on
 /// top.
+///
+/// From-scratch connectors (construction and the envelope rebuild) come
+/// from one ConnectorEngine over the whole topology, seeded with the
+/// MIS: dead nodes have no edges (udg::GridIndex removes them all on
+/// erase), and components never interact, so each component gets its
+/// own phase 2. Its stalls at 3-hop gaps are patched in place with
+/// ConnectorEngine::bridge_gap().
 
 namespace mcds::core {
 
@@ -76,13 +83,17 @@ class LocalBackbone {
                 std::span<const std::uint8_t> alive);
 
   /// From-scratch solve: lowest-id first-fit MIS over the alive nodes,
-  /// then per-component connectors via the phase-2 engine. O(n + m).
+  /// then the connectors as rebuild_connectors() derives them.
   void rebuild(const graph::DeltaGraph& g,
                std::span<const std::uint8_t> alive);
 
-  /// Keeps the current MIS and re-derives the connectors from scratch
-  /// (per component). Used by the envelope policy: the result satisfies
-  /// |B| <= 2|MIS| per component. O(n + m).
+  /// Keeps the current MIS and re-derives the connectors from scratch:
+  /// one phase-2 engine over \p g, each stall patched with a 3-hop
+  /// connector pair. Used by the envelope policy: each max-gain connector
+  /// merges >= 1 fragment and each pair exactly 1, so |B| <= 3|MIS| - 2
+  /// per component, inside the 4|MIS| + 12 envelope. O(n + m) plus one
+  /// member scan per stall. Throws std::invalid_argument if a dead node
+  /// of \p g has an edge.
   void rebuild_connectors(const graph::DeltaGraph& g,
                           std::span<const std::uint8_t> alive);
 

@@ -1,9 +1,9 @@
 #include "core/repair.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
+#include "core/connector_engine.hpp"
 #include "graph/steiner.hpp"
 #include "graph/subgraph.hpp"
 #include "graph/traversal.hpp"
@@ -15,9 +15,9 @@ namespace {
 // Shared by repair_cds / reconnect_cds: prune dead members (counting
 // them) and, if nothing survived, seed from the max-degree node.
 void prune_and_seed(const Graph& g, const std::vector<NodeId>& old_cds,
-                    std::vector<bool>& in_set, std::vector<NodeId>& members,
-                    RepairResult& out) {
+                    std::vector<NodeId>& members, RepairResult& out) {
   const std::size_t n = g.num_nodes();
+  std::vector<bool> in_set(n, false);
   for (const NodeId v : old_cds) {
     if (v >= n) {
       ++out.dropped;  // failed / departed node
@@ -34,61 +34,28 @@ void prune_and_seed(const Graph& g, const std::vector<NodeId>& old_cds,
     for (NodeId v = 1; v < n; ++v) {
       if (g.degree(v) > g.degree(seed)) seed = v;
     }
-    in_set[seed] = true;
     members.push_back(seed);
     ++out.added;
   }
 }
 
-// Step 2 of repair — restore connectivity. Prefer positive-gain
-// connectors (cheap local merges); when none exists, bridge the nearest
-// pair of components along a shortest path.
-void restore_connectivity(const Graph& g, std::vector<bool>& in_set,
-                          std::vector<NodeId>& members, RepairResult& out) {
-  const std::size_t n = g.num_nodes();
-  constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> comp(n), seen(n);
-  while (true) {
-    const auto [labels, q] = graph::subset_components(g, members);
-    if (q <= 1) break;
-    std::fill(comp.begin(), comp.end(), kUnset);
-    std::fill(seen.begin(), seen.end(), kUnset);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      comp[members[i]] = labels[i];
+// Step 2 of repair — restore connectivity. Drain the phase-2 engine
+// (max-gain connectors, ties to the smallest id); when it stalls, no
+// single node merges two components, and shortest_path_augment bridges
+// all that remain along shortest paths.
+void restore_connectivity(const Graph& g, std::vector<NodeId>& members,
+                          RepairResult& out) {
+  ConnectorEngine engine(g, members);
+  while (!engine.done()) {
+    const auto step = engine.poll();
+    if (!step) {
+      const auto bridge = graph::shortest_path_augment(g, members);
+      members.insert(members.end(), bridge.begin(), bridge.end());
+      out.added += bridge.size();
+      return;
     }
-    NodeId best = graph::kNoNode;
-    std::size_t best_gain = 1;  // require gain >= 1
-    for (NodeId w = 0; w < n; ++w) {
-      if (in_set[w]) continue;
-      std::size_t distinct = 0;
-      for (const NodeId v : g.neighbors(w)) {
-        const std::uint32_t c = comp[v];
-        if (c != kUnset && seen[c] != w) {
-          seen[c] = w;
-          ++distinct;
-        }
-      }
-      if (distinct >= 2 && distinct - 1 >= best_gain) {
-        if (distinct - 1 > best_gain || best == graph::kNoNode) {
-          best = w;
-          best_gain = distinct - 1;
-        }
-      }
-    }
-    if (best != graph::kNoNode) {
-      in_set[best] = true;
-      members.push_back(best);
-      ++out.added;
-      continue;
-    }
-    // No single node merges two components: fall back to path bridging
-    // (adds every interior node of the chosen shortest path at once).
-    const auto bridge = graph::shortest_path_augment(g, members);
-    for (const NodeId v : bridge) {
-      in_set[v] = true;
-      members.push_back(v);
-      ++out.added;
-    }
+    members.push_back(step->node);
+    ++out.added;
   }
 }
 
@@ -102,9 +69,8 @@ RepairResult repair_cds(const Graph& g, const std::vector<NodeId>& old_cds) {
   }
 
   RepairResult out;
-  std::vector<bool> in_set(n, false);
   std::vector<NodeId> members;
-  prune_and_seed(g, old_cds, in_set, members, out);
+  prune_and_seed(g, old_cds, members, out);
 
   // Step 1 — restore domination. For each uncovered node pick the
   // member of its closed neighborhood covering the most uncovered
@@ -134,14 +100,13 @@ RepairResult repair_cds(const Graph& g, const std::vector<NodeId>& old_cds) {
         best_cover = c;
       }
     }
-    in_set[best] = true;
     members.push_back(best);
     ++out.added;
     mark(best);
   }
 
   // Step 2 — restore connectivity.
-  restore_connectivity(g, in_set, members, out);
+  restore_connectivity(g, members, out);
 
   out.cds = members;
   std::sort(out.cds.begin(), out.cds.end());
@@ -213,10 +178,9 @@ RepairResult reconnect_cds(const Graph& g,
   }
 
   RepairResult out;
-  std::vector<bool> in_set(n, false);
   std::vector<NodeId> members;
-  prune_and_seed(g, old_cds, in_set, members, out);
-  restore_connectivity(g, in_set, members, out);
+  prune_and_seed(g, old_cds, members, out);
+  restore_connectivity(g, members, out);
 
   out.cds = members;
   std::sort(out.cds.begin(), out.cds.end());

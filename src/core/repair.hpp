@@ -8,11 +8,14 @@
 /// Local CDS maintenance: when the topology changes (node failures,
 /// mobility), repair the previous backbone instead of rebuilding it.
 /// Repair first restores domination (adding best-coverage neighbors of
-/// uncovered nodes), then restores connectivity (preferring positive-
-/// gain connectors, falling back to shortest-path merging). The repaired
-/// set is always a valid CDS of the new topology; the point is that it
-/// usually differs from the old backbone in only a few nodes (low
-/// churn), which the maintenance bench quantifies against full rebuild.
+/// uncovered nodes), then restores connectivity by draining the phase-2
+/// ConnectorEngine seeded with the surviving set (max-gain connectors,
+/// ties to the smallest id); if the engine stalls, one
+/// graph::shortest_path_augment call bridges the remaining fragments
+/// along shortest paths. The repaired set is always a valid CDS of the
+/// new topology; the point is that it usually differs from the old
+/// backbone in only a few nodes (low churn), which the maintenance bench
+/// quantifies against full rebuild.
 
 namespace mcds::core {
 

@@ -26,7 +26,8 @@
 /// maintained set stays a valid CDS (forest) of the alive topology after
 /// *every* event. Two amortized policies bound the state: when the
 /// backbone drifts past the paper's 4|MIS|+12 envelope the connectors
-/// are re-derived from the maintained MIS (restoring |B| <= 2|MIS|), and
+/// are re-derived from the maintained MIS (|B| <= 3|MIS| - 2 per
+/// component, which the envelope never rejects), and
 /// when the DeltaGraph overlay outgrows its threshold it is compacted
 /// into a fresh CSR. Epochs bump whenever the backbone changes, so
 /// view() hands dist::SelfHealingCds::reconcile() an epoch-stamped

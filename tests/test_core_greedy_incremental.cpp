@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
+#include <stdexcept>
+#include <type_traits>
+#include <vector>
+
 #include "core/connector_engine.hpp"
 #include "core/greedy_connect.hpp"
 #include "core/validate.hpp"
@@ -89,6 +95,13 @@ TEST_P(GreedyIncrementalRandom, TraceMatchesReferenceOnTenInstances) {
 INSTANTIATE_TEST_SUITE_P(TwoHundredSeeds, GreedyIncrementalRandom,
                          ::testing::Range<std::uint64_t>(1, 21));
 
+// The engine reads its graph through a view: a temporary graph would
+// dangle, so it must not compile.
+static_assert(std::is_constructible_v<ConnectorEngine, const Graph&,
+                                      std::span<const NodeId>>);
+static_assert(!std::is_constructible_v<ConnectorEngine, Graph,
+                                       std::span<const NodeId>>);
+
 TEST(ConnectorEngine, RejectsBadAndDuplicateMembers) {
   const Graph g = test::make_path(4);
   const std::vector<NodeId> out_of_range{0, 7};
@@ -131,6 +144,78 @@ TEST(ConnectorEngine, NonIndependentSeedCountsComponentsCorrectly) {
   EXPECT_EQ(step.node, 2u);
   EXPECT_EQ(step.gain, 1u);
   EXPECT_TRUE(engine.done());
+}
+
+// Members exactly 3 apart on a path: no node touches two of them, so the
+// engine stalls at once, and each bridge_gap() admits the first gap's
+// pair (scan order member asc, x asc, y asc) and merges two components.
+TEST(ConnectorEngine, BridgeGapPatchesThreeHopGapsInScanOrder) {
+  const Graph g = test::make_path(10);
+  const std::vector<NodeId> members{0, 3, 6, 9};
+  ConnectorEngine engine(g, members);
+  EXPECT_FALSE(engine.poll().has_value());
+  const auto first = engine.bridge_gap();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(*first, (std::array<NodeId, 2>{1, 2}));
+  EXPECT_EQ(engine.components(), 3u);
+  std::vector<NodeId> admitted{(*first)[0], (*first)[1]};
+  while (true) {
+    while (const auto step = engine.poll()) admitted.push_back(step->node);
+    const auto gap = engine.bridge_gap();
+    if (!gap) break;
+    admitted.insert(admitted.end(), gap->begin(), gap->end());
+  }
+  EXPECT_EQ(engine.components(), 1u);
+  EXPECT_TRUE(engine.done());
+  EXPECT_EQ(admitted, (std::vector<NodeId>{1, 2, 4, 5, 7, 8}));
+}
+
+// Two such paths in one graph: one engine connects each on its own and
+// stops at one component per path.
+TEST(ConnectorEngine, BridgeGapConnectsDisjointPathsSeparately) {
+  const Graph g = test::make_graph(14, {{0, 1}, {1, 2}, {2, 3}, {3, 4},
+                                        {4, 5}, {5, 6}, {7, 8}, {8, 9},
+                                        {9, 10}, {10, 11}, {11, 12},
+                                        {12, 13}});
+  const std::vector<NodeId> members{0, 3, 6, 7, 10, 13};
+  ConnectorEngine engine(g, members);
+  std::size_t patches = 0;
+  while (true) {
+    EXPECT_FALSE(engine.poll().has_value());
+    if (!engine.bridge_gap()) break;
+    ++patches;
+    EXPECT_EQ(engine.components(), members.size() - patches);
+  }
+  EXPECT_EQ(patches, 4u);
+  EXPECT_EQ(engine.components(), 2u);
+}
+
+// No 3-hop gap: members 6 apart, or already one component. The patch
+// finds nothing and leaves the engine as it was.
+TEST(ConnectorEngine, BridgeGapWithoutGapChangesNothing) {
+  const Graph g = test::make_path(7);
+  ConnectorEngine far(g, std::vector<NodeId>{0, 6});
+  EXPECT_FALSE(far.poll().has_value());
+  EXPECT_FALSE(far.bridge_gap().has_value());
+  EXPECT_EQ(far.components(), 2u);
+  EXPECT_FALSE(far.poll().has_value());
+
+  ConnectorEngine joined(g, std::vector<NodeId>{2, 3, 4});
+  EXPECT_TRUE(joined.done());
+  EXPECT_FALSE(joined.bridge_gap().has_value());
+  EXPECT_EQ(joined.components(), 1u);
+}
+
+// bridge_gap() tests only y's first member neighbor, which is exact only
+// at a stall: with candidates still queued it refuses to run.
+TEST(ConnectorEngine, BridgeGapRequiresAStall) {
+  const Graph g = test::make_path(5);
+  ConnectorEngine engine(g, std::vector<NodeId>{0, 2, 4});
+  EXPECT_THROW((void)engine.bridge_gap(), std::logic_error);
+  while (engine.poll()) {
+  }
+  EXPECT_TRUE(engine.done());
+  EXPECT_FALSE(engine.bridge_gap().has_value());
 }
 
 }  // namespace

@@ -1,0 +1,354 @@
+// Golden outputs of the two connectivity-repair paths. The dyn and
+// repair suites assert validity only; these digests pin *which* valid
+// backbone each path returns, recorded from a known-good build:
+//
+//  * core::LocalBackbone (through dyn::DynamicCds) after construction on
+//    four seeded fields, and after two seeded churn streams run under a
+//    tightened envelope so the connector rebuild fires mid-stream. The
+//    sparse fields' arbitrary-maximal MIS leaves member fragments exactly
+//    3 hops apart, so phase 2 stalls and the 3-hop patch runs; two fields
+//    split into several topology components that each hold >= 2 MIS
+//    members.
+//  * core::repair_cds, reconnect_cds and their *_components lifts on
+//    jittered UDGs carrying a stale backbone, some of them far enough
+//    apart that no single node merges two fragments and the
+//    shortest-path fallback runs.
+//
+// A change that moves one of these constants changed which backbone a
+// repair returns and must say so.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "core/connector_engine.hpp"
+#include "core/greedy_connect.hpp"
+#include "core/repair.hpp"
+#include "dyn/dynamic_cds.hpp"
+#include "graph/graph.hpp"
+#include "graph/traversal.hpp"
+#include "sim/rng.hpp"
+#include "udg/builder.hpp"
+#include "udg/deployment.hpp"
+#include "udg/instance.hpp"
+
+namespace {
+
+using mcds::dyn::DynamicCds;
+using mcds::dyn::DynParams;
+using mcds::geom::Vec2;
+using mcds::graph::Graph;
+using mcds::graph::NodeId;
+
+// FNV-1a (64-bit), fed value by value.
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(T value) {
+    static_assert(std::is_integral_v<T>);
+    const auto u = static_cast<std::uint64_t>(value);
+    for (std::size_t i = 0; i < sizeof(T); ++i) byte((u >> (8 * i)) & 0xff);
+  }
+  void add(const std::vector<NodeId>& ids) {
+    add(ids.size());
+    for (const NodeId v : ids) add(v);
+  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  void byte(std::uint64_t b) {
+    h_ ^= b;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t digest(const std::vector<NodeId>& ids) {
+  Fnv1a h;
+  h.add(ids);
+  return h.value();
+}
+
+std::vector<Vec2> field(std::size_t nodes, double side, std::uint64_t seed) {
+  mcds::sim::Rng rng(seed);
+  return mcds::udg::deploy_uniform_square(nodes, side, rng);
+}
+
+// ---------------------------------------------------------------------
+// LocalBackbone.
+
+// One engine state: sizes, envelope rebuilds, and digests of the MIS,
+// the backbone and (for streams) the per-event trajectory.
+struct BackboneRow {
+  const char* name;
+  std::size_t mis;
+  std::size_t cds;
+  std::size_t rebuilds;
+  std::uint64_t mis_digest;
+  std::uint64_t cds_digest;
+  std::uint64_t trajectory;
+
+  bool operator==(const BackboneRow&) const = default;
+};
+
+std::string format(const BackboneRow& r) {
+  std::ostringstream os;
+  os << "{\"" << r.name << "\", " << r.mis << ", " << r.cds << ", "
+     << r.rebuilds << ", 0x" << std::hex << r.mis_digest << ", 0x"
+     << r.cds_digest << ", 0x" << r.trajectory << "},";
+  return os.str();
+}
+
+BackboneRow observe(const char* name, const DynamicCds& e,
+                    std::uint64_t trajectory) {
+  return {name,
+          e.mis_size(),
+          e.cds_size(),
+          e.rebuilds(),
+          digest(e.mis()),
+          digest(e.cds()),
+          trajectory};
+}
+
+// Topology components holding >= 2 MIS members: each one runs its own
+// connector phase.
+std::size_t components_with_two_members(const DynamicCds& e) {
+  const auto [label, count] = mcds::graph::connected_components(e.topology());
+  std::vector<std::size_t> members(count, 0);
+  for (const NodeId v : e.mis()) ++members[label[v]];
+  std::size_t multi = 0;
+  for (const std::size_t m : members) multi += m >= 2 ? 1 : 0;
+  return multi;
+}
+
+// Patches the backbone's connector phase needed: a fresh engine over the
+// same topology and MIS stalls at the same 3-hop gaps.
+std::size_t stalls(const DynamicCds& e) {
+  const Graph g = e.topology();
+  mcds::core::ConnectorEngine engine(g, e.mis());
+  std::size_t patches = 0;
+  while (true) {
+    while (engine.poll()) {
+    }
+    if (!engine.bridge_gap()) return patches;
+    ++patches;
+  }
+}
+
+struct FieldSpec {
+  const char* name;
+  std::size_t nodes;
+  double side;
+  std::uint64_t seed;
+};
+
+TEST(RepairGolden, LocalBackboneConstruction) {
+  const FieldSpec specs[] = {
+      {"sparse-200", 200, 11.2, 3},
+      {"mid-400", 400, 12.5, 1},
+      {"sparse-800", 800, 22.4, 1},
+      {"dense-400", 400, 10.2, 1},
+  };
+  const BackboneRow want[] = {
+      {"sparse-200", 60, 118, 0, 0xd3798586a8e8bfee, 0x1872ac5857c6c23, 0x0},
+      {"mid-400", 82, 149, 0, 0x892b644e28c40344, 0x73ee961b14e20bea, 0x0},
+      {"sparse-800", 227, 420, 0, 0x4631f76ceb8afdae, 0xc41ec6964a614466, 0x0},
+      {"dense-400", 59, 100, 0, 0x24959d59dbd8621f, 0x76d39671c749a38b, 0x0},
+  };
+  std::size_t split_fields = 0;
+  std::size_t most_stalls = 0;
+  for (std::size_t i = 0; i < std::size(specs); ++i) {
+    const FieldSpec& s = specs[i];
+    const DynamicCds e(field(s.nodes, s.side, s.seed));
+    ASSERT_TRUE(e.check().ok) << s.name;
+    const BackboneRow got = observe(s.name, e, 0);
+    EXPECT_EQ(got, want[i]) << "observed:\n" << format(got);
+    if (components_with_two_members(e) >= 2) ++split_fields;
+    most_stalls = std::max(most_stalls, stalls(e));
+  }
+  EXPECT_GE(split_fields, 2u);
+  EXPECT_GE(most_stalls, 5u);
+}
+
+struct StreamSpec {
+  const char* name;
+  std::size_t nodes;
+  double side;
+  std::uint64_t seed;
+  double envelope_factor;  ///< below the default 4 so rebuilds fire
+  int events;
+};
+
+TEST(RepairGolden, LocalBackboneAfterChurn) {
+  const StreamSpec specs[] = {
+      {"churn-150", 150, 9.0, 2, 2.5, 300},
+      {"churn-250", 250, 11.0, 3, 2.0, 300},
+  };
+  const BackboneRow want[] = {
+      {"churn-150", 38, 71, 3, 0xd56f10819e60c206, 0x598c548453c23d32,
+       0x92dda27e23747da6},
+      {"churn-250", 57, 112, 32, 0xc1b62342a7df081b, 0xc60dfd3fdf79a2e6,
+       0xa717233f7ba73dfe},
+  };
+  for (std::size_t i = 0; i < std::size(specs); ++i) {
+    const StreamSpec& s = specs[i];
+    DynParams params;
+    params.envelope_factor = s.envelope_factor;
+    params.envelope_bias = 0;
+    DynamicCds e(field(s.nodes, s.side, s.seed), params);
+    mcds::sim::Rng rng(s.seed * 1000 + 7);
+    Fnv1a trajectory;
+    for (int step = 0; step < s.events; ++step) {
+      const auto v = static_cast<NodeId>(rng.uniform_int(e.num_nodes()));
+      const double roll = rng.uniform01();
+      mcds::dyn::EventReport r;
+      if (e.alive(v) && roll < 0.25) {
+        r = e.erase(v);
+      } else if (!e.alive(v)) {
+        r = e.revive(v, {rng.uniform(0.0, s.side), rng.uniform(0.0, s.side)});
+      } else {
+        r = e.move(v, {rng.uniform(0.0, s.side), rng.uniform(0.0, s.side)});
+      }
+      trajectory.add(e.mis_size());
+      trajectory.add(e.cds_size());
+      trajectory.add(static_cast<int>(r.rebuilt));
+    }
+    ASSERT_TRUE(e.check().ok) << s.name;
+    EXPECT_GE(e.rebuilds(), 1u) << s.name;
+    const BackboneRow got = observe(s.name, e, trajectory.value());
+    EXPECT_EQ(got, want[i]) << "observed:\n" << format(got);
+  }
+}
+
+// ---------------------------------------------------------------------
+// core::repair.
+
+// A jittered UDG with the pre-jitter greedy backbone, and a thinned copy
+// (every other member plus one failed id) that leaves fragments too far
+// apart for a single connector.
+struct RepairInput {
+  Graph g;
+  std::vector<NodeId> old_cds;
+  std::vector<NodeId> thinned;
+};
+
+RepairInput repair_input(std::size_t nodes, double side, std::uint64_t seed) {
+  mcds::udg::InstanceParams params;
+  params.nodes = nodes;
+  params.side = side;
+  const auto inst =
+      mcds::udg::generate_largest_component_instance(params, seed);
+  RepairInput in;
+  in.old_cds = mcds::core::greedy_cds(inst.graph, 0).cds;
+  mcds::sim::Rng rng(seed);
+  auto moved = inst.points;
+  for (Vec2& p : moved) {
+    p.x += rng.uniform(-0.4, 0.4);
+    p.y += rng.uniform(-0.4, 0.4);
+  }
+  in.g = mcds::udg::build_udg(moved);
+  for (std::size_t i = 0; i < in.old_cds.size(); i += 2) {
+    in.thinned.push_back(in.old_cds[i]);
+  }
+  in.thinned.push_back(static_cast<NodeId>(moved.size() + 3));
+  return in;
+}
+
+struct RepairRow {
+  const char* name;
+  std::size_t kept;
+  std::size_t added;
+  std::size_t dropped;
+  std::size_t size;
+  std::uint64_t cds;
+
+  bool operator==(const RepairRow&) const = default;
+};
+
+std::string format(const RepairRow& r) {
+  std::ostringstream os;
+  os << "{\"" << r.name << "\", " << r.kept << ", " << r.added << ", "
+     << r.dropped << ", " << r.size << ", 0x" << std::hex << r.cds << "},";
+  return os.str();
+}
+
+// True when the connector engine, seeded with the in-range \p members,
+// stalls before one component remains: reconnect_cds then takes the
+// shortest-path fallback.
+bool engine_stalls(const Graph& g, std::vector<NodeId> members) {
+  std::erase_if(members, [&](NodeId v) { return v >= g.num_nodes(); });
+  mcds::core::ConnectorEngine engine(g, members);
+  while (!engine.done()) {
+    if (!engine.poll()) return true;
+  }
+  return false;
+}
+
+RepairRow observe(const char* name, const mcds::core::RepairResult& r) {
+  return {name, r.kept, r.added, r.dropped, r.cds.size(), digest(r.cds)};
+}
+
+TEST(RepairGolden, CoreRepairEntryPoints) {
+  using mcds::core::reconnect_cds;
+  using mcds::core::reconnect_cds_components;
+  using mcds::core::repair_cds;
+  using mcds::core::repair_cds_components;
+  // Connected after the jitter: all four entry points apply.
+  const RepairInput a = repair_input(120, 6.0, 1);
+  const RepairInput b = repair_input(200, 9.0, 2);
+  // Split by the jitter: only the *_components lifts apply.
+  const RepairInput c = repair_input(60, 6.0, 1);
+  ASSERT_TRUE(mcds::graph::is_connected(a.g));
+  ASSERT_TRUE(mcds::graph::is_connected(b.g));
+  ASSERT_FALSE(mcds::graph::is_connected(c.g));
+  EXPECT_TRUE(engine_stalls(a.g, a.thinned));
+  EXPECT_TRUE(engine_stalls(b.g, b.old_cds));
+
+  const std::vector<RepairRow> got = {
+      observe("a repair", repair_cds(a.g, a.old_cds)),
+      observe("a reconnect", reconnect_cds(a.g, a.old_cds)),
+      observe("a repair thinned", repair_cds(a.g, a.thinned)),
+      observe("a reconnect thinned", reconnect_cds(a.g, a.thinned)),
+      observe("b repair", repair_cds(b.g, b.old_cds)),
+      observe("b reconnect", reconnect_cds(b.g, b.old_cds)),
+      observe("b repair thinned", repair_cds(b.g, b.thinned)),
+      observe("b reconnect thinned", reconnect_cds(b.g, b.thinned)),
+      observe("b repair_components thinned",
+              repair_cds_components(b.g, b.thinned)),
+      observe("c repair_components", repair_cds_components(c.g, c.old_cds)),
+      observe("c reconnect_components",
+              reconnect_cds_components(c.g, c.old_cds)),
+      observe("c repair_components thinned",
+              repair_cds_components(c.g, c.thinned)),
+      observe("c reconnect_components thinned",
+              reconnect_cds_components(c.g, c.thinned)),
+  };
+  const std::vector<RepairRow> want = {
+      {"a repair", 40, 9, 0, 49, 0x826bba5091e680da},
+      {"a reconnect", 40, 9, 0, 49, 0x826bba5091e680da},
+      {"a repair thinned", 20, 25, 1, 45, 0x5d7298af452d37a3},
+      {"a reconnect thinned", 20, 17, 1, 37, 0x3063f136d9dbbc4d},
+      {"b repair", 84, 17, 0, 101, 0xd51dd924ee2b25b8},
+      {"b reconnect", 84, 15, 0, 99, 0x9a65785ca01ea5fe},
+      {"b repair thinned", 42, 49, 1, 91, 0xab9143bdb27b5256},
+      {"b reconnect thinned", 42, 34, 1, 76, 0xecb07e215018e9b2},
+      {"b repair_components thinned", 42, 49, 1, 91, 0xab9143bdb27b5256},
+      {"c repair_components", 34, 7, 0, 41, 0x961d8daebb2f7425},
+      {"c reconnect_components", 34, 5, 0, 39, 0xaffac7bc25dbe838},
+      {"c repair_components thinned", 17, 19, 1, 36, 0xd680fb58fae52a55},
+      {"c reconnect_components thinned", 17, 12, 1, 29,
+       0x178aa5b896a36799},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "observed:\n" << format(got[i]);
+  }
+}
+
+}  // namespace

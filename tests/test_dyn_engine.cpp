@@ -4,18 +4,23 @@
 // 4|MIS|+12 envelope after *every* event, exercise the amortized
 // policies (envelope rebuild, overlay compaction), the obs wiring, the
 // BackboneView handoff into dist::SelfHealingCds::reconcile(), and — for
-// the TSan job — concurrent independent engines.
+// the TSan job — concurrent independent engines. The LocalBackbone cases
+// pin the connector rebuild's worst case and its topology precondition.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/local_repair.hpp"
 #include "dist/maintenance.hpp"
 #include "dyn/dynamic_cds.hpp"
 #include "geom/vec2.hpp"
+#include "graph/delta_graph.hpp"
+#include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "sim/rng.hpp"
@@ -128,8 +133,9 @@ TEST(DynEngine, IslandMergeBridgesClusters) {
 }
 
 TEST(DynEngine, EnvelopeRebuildRestoresConnectorBound) {
-  // A long churn run must eventually trip the envelope policy; after any
-  // rebuild the connectors are re-derived so |B| <= 2|MIS| + small.
+  // A long churn run may trip the envelope policy; a rebuild re-derives
+  // the connectors from the maintained MIS, |B| <= 3|MIS| - 2 per
+  // component.
   const auto inst = mcds::udg::generate_instance({.nodes = 150}, 9);
   DynamicCds engine(inst.points);
   mcds::sim::Rng rng(99);
@@ -148,6 +154,43 @@ TEST(DynEngine, EnvelopeRebuildRestoresConnectorBound) {
     expect_valid(engine, "churn step");
   }
   EXPECT_EQ(rebuilds_seen, engine.rebuilds());
+}
+
+// The envelope rebuild's connector bound. Ids 0-10 sit at positions 0,
+// 3, ..., 30 of a 31-node path, so the lowest-id MIS is exactly those 11
+// nodes, every fragment 3 hops from the next: no connector has positive
+// gain, and each of the 10 patches adds two nodes for one merge. |B| =
+// 3|MIS| - 2 is the most a rebuild can give per component, which stays
+// inside the 4|MIS| + 12 envelope.
+TEST(LocalBackbone, StalledRebuildMeetsThreeMisBound) {
+  constexpr NodeId kLength = 31;
+  std::vector<NodeId> id_at(kLength);
+  NodeId gap_id = 11;
+  for (NodeId p = 0; p < kLength; ++p) {
+    id_at[p] = p % 3 == 0 ? p / 3 : gap_id++;
+  }
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId p = 0; p + 1 < kLength; ++p) {
+    edges.emplace_back(id_at[p], id_at[p + 1]);
+  }
+  const mcds::graph::DeltaGraph g(mcds::graph::Graph(kLength, edges));
+  const std::vector<std::uint8_t> alive(kLength, 1);
+  mcds::core::LocalBackbone backbone(g, alive);
+  EXPECT_EQ(backbone.mis_size(), 11u);
+  EXPECT_EQ(backbone.cds_size(), 3 * backbone.mis_size() - 2);
+  EXPECT_FALSE(backbone.envelope_exceeded(4.0, 12));
+  backbone.rebuild_connectors(g, alive);
+  EXPECT_EQ(backbone.cds_size(), 3 * backbone.mis_size() - 2);
+}
+
+// One engine runs over the whole topology, so a dead node must have no
+// edges (udg::GridIndex drops them all on erase).
+TEST(LocalBackbone, RejectsDeadNodeWithEdges) {
+  const mcds::graph::DeltaGraph g(
+      mcds::graph::Graph(3, std::vector<std::pair<NodeId, NodeId>>{{0, 1},
+                                                                   {1, 2}}));
+  const std::vector<std::uint8_t> alive{1, 0, 1};
+  EXPECT_THROW(mcds::core::LocalBackbone(g, alive), std::invalid_argument);
 }
 
 TEST(DynEngine, CompactionKeepsTopologyExact) {
