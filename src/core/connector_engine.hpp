@@ -48,11 +48,12 @@
 ///
 /// Callers: greedy_connectors and the (k,m) builders drain select_next(),
 /// which relies on Lemma 9 (a BFS-ordered phase-1 MIS never stalls).
-/// The two repair paths drain poll() instead: core::repair's
-/// restore_connectivity falls back to graph::shortest_path_augment when
-/// the engine stalls, and LocalBackbone::rebuild_connectors, whose
-/// maintained MIS is only arbitrary-maximal, patches each stall with
-/// bridge_gap() and drains again.
+/// The two repair paths drain poll() instead: core::repair_cds falls
+/// back to graph::shortest_path_augment, once per still-split topology
+/// component, when the engine stalls, and
+/// LocalBackbone::rebuild_connectors, whose maintained MIS is only
+/// arbitrary-maximal, patches each stall with bridge_gap() and drains
+/// again. Both run one engine over a possibly disconnected topology.
 ///
 /// Policy requirements (duck-typed; both shipped policies model it):
 ///   using Score = <totally ordered, equality-comparable value type>;

@@ -254,6 +254,47 @@ std::pair<std::vector<std::uint32_t>, std::size_t> fragments_without(
   return {std::move(labels), fragments};
 }
 
+/// The first avoidable cut of G[members], scanning members ascending: a
+/// cut vertex v of the backbone with two member fragments of
+/// G[members] - v in one component of G - v. The one scan behind both
+/// the k=2 builder and its validator, so the two cannot apply different
+/// rules. Members must be ascending.
+struct AvoidableCut {
+  NodeId cut = graph::kNoNode;  ///< kNoNode: every cut is excusable
+  /// Fragment label of each member in G[members] - cut, in member order
+  /// (kNoLabel for the cut itself).
+  std::vector<std::uint32_t> fragment;
+  /// Component label of every node in G - cut (kNoLabel for the cut).
+  std::vector<std::uint32_t> gcomp;
+  /// The component of G - cut that holds two fragments.
+  std::uint32_t shared = kNoLabel;
+};
+
+AvoidableCut find_avoidable_cut(const Graph& g,
+                                std::span<const NodeId> members,
+                                const std::vector<std::uint8_t>& in_set) {
+  AvoidableCut out;
+  if (members.size() < 3) return out;  // removal leaves <= 1 member
+  const auto sub = graph::induced_subgraph(g, members);
+  const auto art = articulation_flags(sub.graph);
+  for (NodeId i = 0; i < members.size(); ++i) {
+    if (!art[i]) continue;
+    const NodeId v = members[i];  // sub.mapping preserves ascending order
+    auto [fragment, fragments] = fragments_without(g, members, in_set, v);
+    if (fragments < 2) continue;  // stale flag (cannot happen, be safe)
+    auto gcomp = components_avoiding(g, v);
+    const std::uint32_t shared =
+        avoidable_component(members, fragment, v, gcomp, g.num_nodes());
+    if (shared == kNoLabel) continue;  // every split is topology-forced
+    out.cut = v;
+    out.fragment = std::move(fragment);
+    out.gcomp = std::move(gcomp);
+    out.shared = shared;
+    return out;
+  }
+  return out;
+}
+
 /// The k=2 augmentation: recruit nodes until every cut vertex of
 /// G[members] is excusable (no two member fragments share a component
 /// of G - v). Each round patches the smallest avoidable cut vertex with
@@ -270,30 +311,12 @@ std::vector<NodeId> biconnect_augment(const Graph& g,
   constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
   for (;;) {
     const std::vector<NodeId> members = flags_to_sorted(in_b);
-    if (members.size() < 3) return recruits;
-    const auto sub = graph::induced_subgraph(g, members);
-    const auto art = articulation_flags(sub.graph);
-
-    NodeId cut = graph::kNoNode;
-    std::vector<std::uint32_t> labels;
-    std::vector<std::uint32_t> gcomp;
-    std::uint32_t patch_comp = kNoLabel;
-    for (NodeId i = 0; i < members.size(); ++i) {
-      if (!art[i]) continue;
-      const NodeId v = members[i];  // sub.mapping preserves ascending order
-      auto [frag_labels, frag_count] = fragments_without(g, members, in_b, v);
-      if (frag_count < 2) continue;  // stale flag (cannot happen, be safe)
-      auto comps = components_avoiding(g, v);
-      const std::uint32_t bad =
-          avoidable_component(members, frag_labels, v, comps, g.num_nodes());
-      if (bad == kNoLabel) continue;  // every split is topology-forced
-      cut = v;
-      labels = std::move(frag_labels);
-      gcomp = std::move(comps);
-      patch_comp = bad;
-      break;
-    }
-    if (cut == graph::kNoNode) return recruits;
+    const AvoidableCut found = find_avoidable_cut(g, members, in_b);
+    if (found.cut == graph::kNoNode) return recruits;
+    const NodeId cut = found.cut;
+    const std::vector<std::uint32_t>& labels = found.fragment;
+    const std::vector<std::uint32_t>& gcomp = found.gcomp;
+    const std::uint32_t patch_comp = found.shared;
 
     // Source fragment: the one holding the smallest member of the
     // shared component (a fragment is connected in G - cut, so it lies
@@ -506,34 +529,24 @@ std::pair<NodeId, std::size_t> first_under_covered(
 KmCheck cut_vertex_check(const Graph& g, std::span<const NodeId> members,
                          const std::vector<std::uint8_t>& in_set) {
   KmCheck out;
-  if (members.size() < 3) return out;  // removal leaves <= 1 member
-  const auto sub = graph::induced_subgraph(g, members);
-  const auto art = articulation_flags(sub.graph);
-  for (NodeId i = 0; i < members.size(); ++i) {
-    if (!art[i]) continue;
-    const NodeId v = members[i];
-    const auto [labels, fragments] = fragments_without(g, members, in_set, v);
-    if (fragments < 2) continue;
-    const auto gcomp = components_avoiding(g, v);
-    const std::uint32_t bad =
-        avoidable_component(members, labels, v, gcomp, g.num_nodes());
-    if (bad == kNoLabel) continue;  // every split is topology-forced
-    out.ok = false;
-    out.defect = KmDefect::kCutVertex;
-    out.witness = v;
-    // witness2: first member of the shared component outside its
-    // smallest member's fragment.
-    std::uint32_t first_label = kNoLabel;
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      if (members[j] == v || gcomp[members[j]] != bad) continue;
-      if (first_label == kNoLabel) {
-        first_label = labels[j];
-      } else if (labels[j] != first_label) {
-        out.witness2 = members[j];
-        break;
-      }
+  const AvoidableCut found = find_avoidable_cut(g, members, in_set);
+  if (found.cut == graph::kNoNode) return out;
+  out.ok = false;
+  out.defect = KmDefect::kCutVertex;
+  out.witness = found.cut;
+  // witness2: first member of the shared component outside its smallest
+  // member's fragment.
+  std::uint32_t first_label = kNoLabel;
+  for (std::size_t j = 0; j < members.size(); ++j) {
+    if (members[j] == found.cut || found.gcomp[members[j]] != found.shared) {
+      continue;
     }
-    return out;
+    if (first_label == kNoLabel) {
+      first_label = found.fragment[j];
+    } else if (found.fragment[j] != first_label) {
+      out.witness2 = members[j];
+      break;
+    }
   }
   return out;
 }

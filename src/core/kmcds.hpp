@@ -143,7 +143,9 @@ struct KmCheck {
 /// form a (k,m) backbone of it — the (k,m) analogue of
 /// check_cds_components' CDS forest. A component without any member
 /// reports its smallest node as kUnderCovered with observed = 0. On a
-/// connected graph this is exactly check_kmcds.
+/// connected graph with a non-empty set this is exactly check_kmcds;
+/// the empty set reports node 0 as kUnderCovered where check_kmcds
+/// reports kEmpty.
 [[nodiscard]] KmCheck check_kmcds_components(const Graph& g,
                                              std::span<const NodeId> set,
                                              KmParams params);

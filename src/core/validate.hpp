@@ -97,8 +97,10 @@ struct CdsCheck {
 /// of it — a "CDS forest". A component without any member reports its
 /// smallest node as kUndominated; members of one topology component
 /// split across two backbone fragments report kDisconnected with a
-/// witness in each fragment. On a connected graph this is exactly
-/// check_cds. Throws std::invalid_argument on out-of-range members.
+/// witness in each fragment. On a connected graph with a non-empty set
+/// this is exactly check_cds; the empty set reports node 0 as
+/// kUndominated where check_cds reports kEmpty. Throws
+/// std::invalid_argument on out-of-range members.
 [[nodiscard]] CdsCheck check_cds_components(const Graph& g,
                                             std::span<const NodeId> set);
 

@@ -15,11 +15,16 @@ namespace {
 constexpr const char* kActionName[5] = {
     "maintenance.intact", "maintenance.reconnected", "maintenance.repaired",
     "maintenance.rebuilt", "maintenance.unhealable"};
+
+/// Full rebuild when fewer than this fraction of the previous backbone
+/// survives the churn event (repairing a near-empty skeleton costs more
+/// nodes than rebuilding).
+constexpr double kRebuildFraction = 0.34;
 }  // namespace
 
 SelfHealingCds::SelfHealingCds(const Graph& g, std::vector<NodeId> cds,
-                               MaintenanceParams params, const obs::Obs& obs)
-    : g_(g), cds_(std::move(cds)), params_(params), obs_(obs) {
+                               const obs::Obs& obs)
+    : g_(g), cds_(std::move(cds)), obs_(obs) {
   for (std::size_t i = 0; i < 5; ++i) {
     c_action_[i] = obs_.counter(kActionName[i]);
   }
@@ -28,10 +33,6 @@ SelfHealingCds::SelfHealingCds(const Graph& g, std::vector<NodeId> cds,
     if (v >= g_.num_nodes()) {
       throw std::invalid_argument("SelfHealingCds: cds node out of range");
     }
-  }
-  if (!(params_.rebuild_fraction >= 0.0 && params_.rebuild_fraction <= 1.0)) {
-    throw std::invalid_argument(
-        "SelfHealingCds: rebuild_fraction must be in [0, 1]");
   }
   std::sort(cds_.begin(), cds_.end());
   if (!cds_.empty()) last_good_ = view();
@@ -225,8 +226,7 @@ HealReport SelfHealingCds::heal(const std::vector<bool>& up) {
 
   std::vector<NodeId> healed_sub;
   if (old_size > 0 && static_cast<double>(report.kept) <
-                          params_.rebuild_fraction *
-                              static_cast<double>(old_size)) {
+                          kRebuildFraction * static_cast<double>(old_size)) {
     // Too little survived: re-run the distributed construction on the
     // survivor topology, component by component (phase re-run, not
     // repair). The rebuild's own phases inherit the observability sinks.
@@ -254,21 +254,15 @@ HealReport SelfHealingCds::heal(const std::vector<bool>& up) {
       }
     }
     report.action = HealAction::kRebuilt;
-  } else if (report.issue.defect == core::CdsDefect::kDisconnected) {
-    // Coverage held, only the backbone split within its components:
-    // reglue each fragment (the cut itself cannot be bridged).
-    obs::ScopedTimer t(obs_, "heal.reconnect");
-    const core::RepairResult r =
-        core::reconnect_cds_components(sub.graph, backbone_sub);
-    healed_sub = r.cds;
-    report.action = HealAction::kReconnected;
   } else {
-    // Coverage lost (or the backbone died entirely): full repair.
-    obs::ScopedTimer t(obs_, "heal.repair");
-    const core::RepairResult r =
-        core::repair_cds_components(sub.graph, backbone_sub);
-    healed_sub = r.cds;
-    report.action = HealAction::kRepaired;
+    // The check reports a split backbone only once coverage held; then
+    // repair_cds adds no dominator and only reglues the fragments within
+    // their components (the cut itself cannot be bridged). Otherwise it
+    // restores coverage first.
+    const bool split = report.issue.defect == core::CdsDefect::kDisconnected;
+    obs::ScopedTimer t(obs_, split ? "heal.reconnect" : "heal.repair");
+    healed_sub = core::repair_cds(sub.graph, backbone_sub).cds;
+    report.action = split ? HealAction::kReconnected : HealAction::kRepaired;
   }
 
   std::vector<NodeId> healed;

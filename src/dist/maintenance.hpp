@@ -9,15 +9,15 @@
 /// Self-healing backbone maintenance. A SelfHealingCds owns the current
 /// CDS of a (full) topology and, on every churn event (crashes,
 /// recoveries, mobility), re-validates it on the survivor graph via
-/// core::check_cds_components. The witness decides the cheapest
-/// adequate response: a backbone that merely split is reglued
-/// (core::reconnect_cds_components); one that lost coverage is fully
-/// repaired (core::repair_cds_components); and when churn decimated the
-/// backbone below a configurable survival fraction, the distributed WAF
-/// construction is re-run from scratch on the survivor topology. Only
-/// the affected phase runs — an intact backbone costs one validity
-/// check. A fragmented survivor graph (crashes, or a network partition)
-/// is healed per connected component into a CDS forest.
+/// core::check_cds_components. The witness decides the response: a
+/// backbone that merely split or one that lost coverage is repaired by
+/// core::repair_cds, which on a still-dominating backbone only reglues
+/// the fragments; and when churn left less than a fixed fraction of the
+/// backbone alive, the distributed WAF construction is re-run from
+/// scratch on the survivor topology. Only the affected phase runs — an
+/// intact backbone costs one validity check. A fragmented survivor
+/// graph (crashes, or a network partition) is healed into a CDS forest,
+/// one tree per connected component.
 ///
 /// Under a partition the driver is replicated: each island runs its own
 /// SelfHealingCds restricted via set_island() to the nodes it can reach
@@ -32,18 +32,12 @@ namespace mcds::dist {
 /// What a heal pass did.
 enum class HealAction {
   kIntact,       ///< survivor CDS still valid — nothing done
-  kReconnected,  ///< backbone split; connectivity-only repair ran
+  kReconnected,  ///< backbone split but still dominating; repair
+                 ///< reglued the fragments
   kRepaired,     ///< coverage lost; full (domination + connectivity)
                  ///< repair ran
   kRebuilt,      ///< too little survived; distributed WAF re-ran
   kUnhealable,   ///< no survivor in scope — nothing to maintain
-};
-
-struct MaintenanceParams {
-  /// Full rebuild when fewer than this fraction of the previous backbone
-  /// survives the churn event (repairing a near-empty skeleton costs
-  /// more nodes than rebuilding).
-  double rebuild_fraction = 0.34;
 };
 
 /// Degraded-mode detail attached to a kUnhealable pass: the pass found
@@ -93,7 +87,7 @@ class SelfHealingCds {
   /// current CDS, in full-graph node ids. \p obs (null sinks by default)
   /// traces each heal pass and counts actions under "maintenance.*".
   SelfHealingCds(const Graph& g, std::vector<NodeId> cds,
-                 MaintenanceParams params = {}, const obs::Obs& obs = {});
+                 const obs::Obs& obs = {});
 
   /// Applies a new liveness vector (size = full graph) and heals the
   /// backbone on the graph induced by the live nodes — per connected
@@ -147,7 +141,6 @@ class SelfHealingCds {
 
   const Graph& g_;
   std::vector<NodeId> cds_;
-  MaintenanceParams params_;
   /// Island restriction (ascending; empty = whole graph in scope).
   std::vector<NodeId> island_;
   std::size_t epoch_ = 0;

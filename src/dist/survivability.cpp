@@ -103,7 +103,7 @@ SurvivabilityReport survive_fault_plan(const Graph& g,
   for (const NodeId v : built.backbone) in_backbone[v] = 1;
 
   std::vector<bool> up(g.num_nodes(), true);
-  SelfHealingCds healer(g, built.backbone, {}, obs);
+  SelfHealingCds healer(g, built.backbone, obs);
   for (const CrashEvent& event : plan.schedule) {
     if (event.node >= g.num_nodes()) {
       throw std::invalid_argument("survive_fault_plan: event node range");
@@ -140,7 +140,7 @@ SurvivabilityReport survive_churn(const Graph& initial,
     ++report.events;
     record_event(report, report.events,
                  evaluate_unhealed(epoch.topology, epoch.up, in_backbone));
-    SelfHealingCds healer(epoch.topology, std::move(healed), {}, obs);
+    SelfHealingCds healer(epoch.topology, std::move(healed), obs);
     record_heal(report, healer.on_churn(epoch.up));
     healed = healer.cds();
     obs::tick_snapshot(obs);

@@ -24,41 +24,7 @@ bool sorted_erase(std::vector<NodeId>& v, NodeId x) {
   return true;
 }
 
-void canonicalize(std::vector<std::pair<NodeId, NodeId>>& edges) {
-  for (auto& e : edges) {
-    if (e.first > e.second) std::swap(e.first, e.second);
-  }
-  std::sort(edges.begin(), edges.end());
-}
-
 }  // namespace
-
-void EdgeDelta::normalize() {
-  canonicalize(added);
-  canonicalize(removed);
-  // Multiset difference: an edge both added and removed (in either
-  // order) nets to no change and drops from both sides.
-  std::vector<std::pair<NodeId, NodeId>> net_added;
-  std::vector<std::pair<NodeId, NodeId>> net_removed;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < added.size() && j < removed.size()) {
-    if (added[i] < removed[j]) {
-      net_added.push_back(added[i++]);
-    } else if (removed[j] < added[i]) {
-      net_removed.push_back(removed[j++]);
-    } else {
-      ++i;
-      ++j;
-    }
-  }
-  net_added.insert(net_added.end(), added.begin() + static_cast<long>(i),
-                   added.end());
-  net_removed.insert(net_removed.end(), removed.begin() + static_cast<long>(j),
-                     removed.end());
-  added = std::move(net_added);
-  removed = std::move(net_removed);
-}
 
 DeltaGraph::DeltaGraph(Graph base, double compact_fraction,
                        std::size_t compact_min_edits)

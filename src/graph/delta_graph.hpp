@@ -38,10 +38,6 @@ struct EdgeDelta {
   [[nodiscard]] bool empty() const noexcept {
     return added.empty() && removed.empty();
   }
-  /// Canonicalizes an accumulated delta: orients every pair u < v, sorts
-  /// both lists, and cancels edges that were added and later removed (or
-  /// vice versa) so the result is the *net* change.
-  void normalize();
 };
 
 /// A graph that accepts O(degree)-cost edge mutations over a frozen CSR

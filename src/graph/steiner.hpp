@@ -14,9 +14,10 @@ namespace mcds::graph {
 /// Returns nodes (disjoint from \p seeds) whose addition makes
 /// G[seeds ∪ result] connected, by repeatedly joining the first seed's
 /// component to the nearest other component along a BFS shortest path.
-/// Preconditions: g connected and seeds non-empty; throws
-/// std::invalid_argument otherwise (including when unreachable
-/// components reveal a disconnected graph).
+/// The search never leaves the seeds' component of g, so g itself may
+/// be disconnected. Preconditions: seeds non-empty and all in one
+/// component of g; throws std::invalid_argument otherwise (including
+/// when seeds in another component of g are unreachable).
 [[nodiscard]] std::vector<NodeId> shortest_path_augment(
     const Graph& g, const std::vector<NodeId>& seeds);
 

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "udg/grid_index.hpp"
+#include "udg/builder.hpp"
 
 namespace mcds::udg {
 
@@ -76,24 +76,10 @@ std::vector<ChurnEpoch> churn_schedule(RandomWaypoint& motion, double radius,
   std::vector<ChurnEpoch> out;
   out.reserve(epochs);
   std::vector<bool> up(motion.positions().size(), true);
-  // One grid survives the whole trace; each epoch only re-hashes the
-  // nodes that actually moved (waypoint pauses park many of them).
-  GridIndex grid(motion.positions(), radius);
-  std::vector<geom::Vec2> prev(motion.positions().begin(),
-                               motion.positions().end());
   for (std::size_t e = 0; e < epochs; ++e) {
     for (std::size_t t = 0; t < ticks_per_epoch; ++t) motion.step();
     ChurnEpoch epoch;
-    const std::vector<Vec2>& now = motion.positions();
-    for (std::size_t i = 0; i < now.size(); ++i) {
-      if (now[i].x == prev[i].x && now[i].y == prev[i].y) continue;
-      grid.move(static_cast<graph::NodeId>(i), now[i], epoch.delta);
-      prev[i] = now[i];
-    }
-    // Per-move deltas are relative to intermediate states; cancelling
-    // matched add/remove pairs leaves the net epoch-boundary delta.
-    epoch.delta.normalize();
-    epoch.topology = grid.build_graph();
+    epoch.topology = build_udg(motion.positions(), radius);
     for (std::size_t i = 0; i < up.size(); ++i) {
       const double p = up[i] ? churn.crash_prob : churn.recover_prob;
       // One draw per node per epoch, flipped or not — keeps the trace a

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "geom/vec2.hpp"
-#include "graph/delta_graph.hpp"
 #include "graph/graph.hpp"
 #include "sim/rng.hpp"
 
@@ -69,12 +68,6 @@ class RandomWaypoint {
 struct ChurnEpoch {
   graph::Graph topology;
   std::vector<bool> up;
-  /// Net position-induced edge changes versus the previous epoch's
-  /// topology (versus the initial positions for epoch 0), over *all*
-  /// nodes — liveness lives in `up`, exactly like `topology`. Canonical
-  /// (u < v, sorted, added/removed disjoint). Consumers that only want
-  /// the full graphs can ignore it.
-  graph::EdgeDelta delta;
 };
 
 /// Parameters of the fail-stop churn process layered over mobility.
@@ -83,14 +76,11 @@ struct ChurnParams {
   double recover_prob = 0.3;  ///< per-epoch chance a crashed node returns
 };
 
-/// Drives \p motion for \p epochs × \p ticks_per_epoch ticks, updating
-/// a persistent GridIndex with each epoch's motion (only nodes that
-/// actually moved touch the grid — waypoint pauses leave many parked)
-/// and then crash/recovering nodes independently per \p churn, seeded
-/// by \p seed (deterministic, independent of the motion's own stream).
-/// Each epoch carries the full topology (identical CSR to a
-/// from-scratch build_udg at those positions), the net edge delta since
-/// the previous epoch, and the liveness vector. Epoch e's liveness
+/// Drives \p motion for \p epochs × \p ticks_per_epoch ticks and, after
+/// each epoch's motion, crash/recovers nodes independently per \p churn,
+/// seeded by \p seed (deterministic, independent of the motion's own
+/// stream). Each epoch carries the full topology (build_udg at the
+/// epoch's positions) and the liveness vector. Epoch e's liveness
 /// evolves from epoch e-1's; all nodes start alive.
 [[nodiscard]] std::vector<ChurnEpoch> churn_schedule(
     RandomWaypoint& motion, double radius, std::size_t epochs,

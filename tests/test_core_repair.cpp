@@ -56,8 +56,14 @@ TEST(Repair, DeduplicatesOldEntries) {
 
 TEST(Repair, Preconditions) {
   EXPECT_THROW((void)repair_cds(Graph{}, {}), std::invalid_argument);
+  // A disconnected topology is repaired into a forest: the two isolated
+  // nodes, which kept no member, are seeded.
   const graph::Graph disc = test::make_graph(4, {{0, 1}});
-  EXPECT_THROW((void)repair_cds(disc, {0}), std::invalid_argument);
+  const auto r = repair_cds(disc, {0});
+  EXPECT_EQ(r.cds, (std::vector<NodeId>{0, 2, 3}));
+  EXPECT_EQ(r.kept, 1u);
+  EXPECT_EQ(r.added, 2u);
+  EXPECT_TRUE(check_cds_components(disc, r.cds).ok);
 }
 
 // Property sweep: repair after random topology perturbation always
@@ -81,17 +87,16 @@ TEST_P(RepairRandom, ValidAfterPerturbation) {
     p.y += rng.uniform(-0.3, 0.3);
   }
   const auto after = udg::build_udg(moved);
+  const auto r = repair_cds(after, old_cds);
   if (!graph::is_connected(after)) {
     // A fragmented draw: each component is repaired against the old
     // backbone nodes that fell into it.
-    const auto r = repair_cds_components(after, old_cds);
     EXPECT_TRUE(check_cds_components(after, r.cds).ok);
     EXPECT_EQ(r.kept, old_cds.size());
     EXPECT_EQ(r.kept + r.added, r.cds.size());
     return;
   }
 
-  const auto r = repair_cds(after, old_cds);
   EXPECT_TRUE(is_cds(after, r.cds));
   EXPECT_EQ(r.kept, old_cds.size());
   EXPECT_EQ(r.kept + r.added, r.cds.size());
@@ -129,15 +134,14 @@ TEST_P(RepairFailure, SurvivesBackboneNodeLoss) {
     if (v == failed) continue;
     survivors.push_back(v > failed ? v - 1 : v);
   }
+  const auto r = repair_cds(g2, survivors);
   if (!graph::is_connected(g2)) {
-    // The failure split the network: repair every side on its own.
-    const auto r = repair_cds_components(g2, survivors);
+    // The failure split the network: every side is repaired.
     EXPECT_TRUE(check_cds_components(g2, r.cds).ok);
     EXPECT_EQ(r.kept, survivors.size());
     EXPECT_EQ(r.kept + r.added, r.cds.size());
     return;
   }
-  const auto r = repair_cds(g2, survivors);
   EXPECT_TRUE(is_cds(g2, r.cds));
   EXPECT_EQ(r.kept, survivors.size());
 }

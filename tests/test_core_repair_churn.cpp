@@ -12,7 +12,7 @@
 #include "udg/mobility.hpp"
 
 /// \file test_core_repair_churn.cpp
-/// repair_cds / reconnect_cds under adversarial churn: random-waypoint
+/// repair_cds under adversarial churn: random-waypoint
 /// motion with fail-stop crashes and recoveries (udg::churn_schedule),
 /// carrying one backbone across the whole trace. Each connected epoch is
 /// checked differentially against a from-scratch construction — the
@@ -32,7 +32,7 @@ TEST(RepairChurn, ReconnectRegluesASplitBackbone) {
   ASSERT_FALSE(before.ok);
   ASSERT_EQ(before.defect, mcds::core::CdsDefect::kDisconnected);
 
-  const auto r = mcds::core::reconnect_cds(g, split);
+  const auto r = mcds::core::repair_cds(g, split);
   EXPECT_TRUE(mcds::core::check_cds(g, r.cds).ok);
   EXPECT_EQ(r.kept, 2u);
   EXPECT_EQ(r.added, 1u);
@@ -42,7 +42,7 @@ TEST(RepairChurn, ReconnectRegluesASplitBackbone) {
 TEST(RepairChurn, ReconnectLeavesAConnectedBackboneAlone) {
   const Graph g = mcds::test::make_path(5);
   const std::vector<NodeId> whole = {1, 2, 3};
-  const auto r = mcds::core::reconnect_cds(g, whole);
+  const auto r = mcds::core::repair_cds(g, whole);
   EXPECT_EQ(r.cds, whole);
   EXPECT_EQ(r.added, 0u);
   EXPECT_EQ(r.dropped, 0u);

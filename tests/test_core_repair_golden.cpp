@@ -9,10 +9,14 @@
 //    3 hops apart, so phase 2 stalls and the 3-hop patch runs; two fields
 //    split into several topology components that each hold >= 2 MIS
 //    members.
-//  * core::repair_cds, reconnect_cds and their *_components lifts on
-//    jittered UDGs carrying a stale backbone, some of them far enough
-//    apart that no single node merges two fragments and the
-//    shortest-path fallback runs.
+//  * core::repair_cds on jittered UDGs carrying a stale backbone, some
+//    of them far enough apart that no single node merges two fragments
+//    and the shortest-path fallback runs, one of them split by the
+//    jitter into several components.
+//  * dist::SelfHealingCds over seeded crash schedules: every heal
+//    pass's action, counters and resulting backbone, including passes
+//    on fragmented survivor graphs, one rebuild and one island-scoped
+//    run ending in a reconcile.
 //
 // A change that moves one of these constants changed which backbone a
 // repair returns and must say so.
@@ -22,16 +26,22 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/connector_engine.hpp"
 #include "core/greedy_connect.hpp"
 #include "core/repair.hpp"
+#include "core/validate.hpp"
+#include "core/waf.hpp"
+#include "dist/maintenance.hpp"
 #include "dyn/dynamic_cds.hpp"
 #include "graph/graph.hpp"
+#include "graph/subgraph.hpp"
 #include "graph/traversal.hpp"
 #include "sim/rng.hpp"
 #include "udg/builder.hpp"
@@ -279,12 +289,13 @@ std::string format(const RepairRow& r) {
 }
 
 // True when the connector engine, seeded with the in-range \p members,
-// stalls before one component remains: reconnect_cds then takes the
-// shortest-path fallback.
+// stalls before each topology component holds one member component: a
+// repair of that dominating set then takes the shortest-path fallback.
 bool engine_stalls(const Graph& g, std::vector<NodeId> members) {
   std::erase_if(members, [&](NodeId v) { return v >= g.num_nodes(); });
+  const std::size_t num_comps = mcds::graph::connected_components(g).second;
   mcds::core::ConnectorEngine engine(g, members);
-  while (!engine.done()) {
+  while (engine.components() > num_comps) {
     if (!engine.poll()) return true;
   }
   return false;
@@ -295,14 +306,10 @@ RepairRow observe(const char* name, const mcds::core::RepairResult& r) {
 }
 
 TEST(RepairGolden, CoreRepairEntryPoints) {
-  using mcds::core::reconnect_cds;
-  using mcds::core::reconnect_cds_components;
   using mcds::core::repair_cds;
-  using mcds::core::repair_cds_components;
-  // Connected after the jitter: all four entry points apply.
   const RepairInput a = repair_input(120, 6.0, 1);
   const RepairInput b = repair_input(200, 9.0, 2);
-  // Split by the jitter: only the *_components lifts apply.
+  // Split by the jitter: repaired into a forest.
   const RepairInput c = repair_input(60, 6.0, 1);
   ASSERT_TRUE(mcds::graph::is_connected(a.g));
   ASSERT_TRUE(mcds::graph::is_connected(b.g));
@@ -312,43 +319,241 @@ TEST(RepairGolden, CoreRepairEntryPoints) {
 
   const std::vector<RepairRow> got = {
       observe("a repair", repair_cds(a.g, a.old_cds)),
-      observe("a reconnect", reconnect_cds(a.g, a.old_cds)),
       observe("a repair thinned", repair_cds(a.g, a.thinned)),
-      observe("a reconnect thinned", reconnect_cds(a.g, a.thinned)),
       observe("b repair", repair_cds(b.g, b.old_cds)),
-      observe("b reconnect", reconnect_cds(b.g, b.old_cds)),
       observe("b repair thinned", repair_cds(b.g, b.thinned)),
-      observe("b reconnect thinned", reconnect_cds(b.g, b.thinned)),
-      observe("b repair_components thinned",
-              repair_cds_components(b.g, b.thinned)),
-      observe("c repair_components", repair_cds_components(c.g, c.old_cds)),
-      observe("c reconnect_components",
-              reconnect_cds_components(c.g, c.old_cds)),
-      observe("c repair_components thinned",
-              repair_cds_components(c.g, c.thinned)),
-      observe("c reconnect_components thinned",
-              reconnect_cds_components(c.g, c.thinned)),
+      observe("c repair", repair_cds(c.g, c.old_cds)),
+      observe("c repair thinned", repair_cds(c.g, c.thinned)),
   };
   const std::vector<RepairRow> want = {
       {"a repair", 40, 9, 0, 49, 0x826bba5091e680da},
-      {"a reconnect", 40, 9, 0, 49, 0x826bba5091e680da},
       {"a repair thinned", 20, 25, 1, 45, 0x5d7298af452d37a3},
-      {"a reconnect thinned", 20, 17, 1, 37, 0x3063f136d9dbbc4d},
       {"b repair", 84, 17, 0, 101, 0xd51dd924ee2b25b8},
-      {"b reconnect", 84, 15, 0, 99, 0x9a65785ca01ea5fe},
       {"b repair thinned", 42, 49, 1, 91, 0xab9143bdb27b5256},
-      {"b reconnect thinned", 42, 34, 1, 76, 0xecb07e215018e9b2},
-      {"b repair_components thinned", 42, 49, 1, 91, 0xab9143bdb27b5256},
-      {"c repair_components", 34, 7, 0, 41, 0x961d8daebb2f7425},
-      {"c reconnect_components", 34, 5, 0, 39, 0xaffac7bc25dbe838},
-      {"c repair_components thinned", 17, 19, 1, 36, 0xd680fb58fae52a55},
-      {"c reconnect_components thinned", 17, 12, 1, 29,
-       0x178aa5b896a36799},
+      {"c repair", 34, 7, 0, 41, 0x961d8daebb2f7425},
+      {"c repair thinned", 17, 19, 1, 36, 0xd680fb58fae52a55},
   };
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << "observed:\n" << format(got[i]);
   }
+}
+
+// ---------------------------------------------------------------------
+// dist::SelfHealingCds.
+
+using mcds::dist::HealAction;
+using mcds::dist::HealReport;
+using mcds::dist::SelfHealingCds;
+
+// The heal passes of one scenario: how many passes took each action,
+// how many of the reconnect and repair passes ran on a fragmented
+// survivor graph, the final backbone size, and a digest of every pass's
+// action, islands, kept, added, dropped, epoch and resulting backbone.
+struct HealRow {
+  const char* name;
+  std::size_t intact;
+  std::size_t reconnected;
+  std::size_t repaired;
+  std::size_t rebuilt;
+  std::size_t split_reconnected;
+  std::size_t split_repaired;
+  std::size_t size;
+  std::uint64_t trajectory;
+
+  bool operator==(const HealRow&) const = default;
+};
+
+std::string format(const HealRow& r) {
+  std::ostringstream os;
+  os << "{\"" << r.name << "\", " << r.intact << ", " << r.reconnected << ", "
+     << r.repaired << ", " << r.rebuilt << ", " << r.split_reconnected << ", "
+     << r.split_repaired << ", " << r.size << ", 0x" << std::hex
+     << r.trajectory << "},";
+  return os.str();
+}
+
+// True when \p cds is a CDS of every component of the graph induced by
+// the live nodes.
+bool valid_forest(const Graph& g, const std::vector<bool>& up,
+                  const std::vector<NodeId>& cds) {
+  std::vector<NodeId> live;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (up[v]) live.push_back(v);
+  }
+  const auto sub = mcds::graph::induced_subgraph(g, live);
+  std::vector<NodeId> to_sub(g.num_nodes(), mcds::graph::kNoNode);
+  for (NodeId i = 0; i < sub.mapping.size(); ++i) to_sub[sub.mapping[i]] = i;
+  std::vector<NodeId> mapped;
+  for (const NodeId v : cds) {
+    if (to_sub[v] == mcds::graph::kNoNode) return false;  // dead member
+    mapped.push_back(to_sub[v]);
+  }
+  return mcds::core::check_cds_components(sub.graph, mapped).ok;
+}
+
+class HealRecorder {
+ public:
+  explicit HealRecorder(const char* name) { row_.name = name; }
+
+  void record(const HealReport& r, const SelfHealingCds& healer) {
+    switch (r.action) {
+      case HealAction::kIntact:
+        ++row_.intact;
+        break;
+      case HealAction::kReconnected:
+        ++row_.reconnected;
+        if (r.islands >= 2) ++row_.split_reconnected;
+        break;
+      case HealAction::kRepaired:
+        ++row_.repaired;
+        if (r.islands >= 2) ++row_.split_repaired;
+        break;
+      case HealAction::kRebuilt:
+        ++row_.rebuilt;
+        break;
+      case HealAction::kUnhealable:
+        break;
+    }
+    trajectory_.add(static_cast<int>(r.action));
+    trajectory_.add(r.islands);
+    trajectory_.add(r.kept);
+    trajectory_.add(r.added);
+    trajectory_.add(r.dropped);
+    trajectory_.add(r.epoch);
+    trajectory_.add(healer.cds());
+    row_.size = healer.cds().size();
+  }
+
+  [[nodiscard]] HealRow row() const {
+    HealRow out = row_;
+    out.trajectory = trajectory_.value();
+    return out;
+  }
+
+ private:
+  HealRow row_{};
+  Fnv1a trajectory_;
+};
+
+mcds::udg::UdgInstance heal_field(std::uint64_t seed) {
+  mcds::udg::InstanceParams params;
+  params.nodes = 150;
+  params.side = 8.0;
+  return mcds::udg::generate_largest_component_instance(params, seed);
+}
+
+TEST(RepairGolden, SelfHealingPasses) {
+  std::vector<HealRow> got;
+
+  // Seeded crash schedules: 40 crashes per field, two in three on a
+  // current backbone member, one heal pass after each. The survivor
+  // graph fragments as the crashes accumulate.
+  const std::pair<const char*, std::uint64_t> schedules[] = {
+      {"crash-1", 1}, {"crash-2", 2}, {"crash-3", 3}, {"crash-4", 4}};
+  for (const auto& [name, seed] : schedules) {
+    const auto inst = heal_field(seed);
+    const Graph& g = inst.graph;
+    SelfHealingCds healer(g, mcds::core::waf_cds(g).cds);
+    std::vector<bool> up(g.num_nodes(), true);
+    mcds::sim::Rng rng(seed * 7919 + 1);
+    HealRecorder rec(name);
+    for (int crash = 0; crash < 40; ++crash) {
+      std::vector<NodeId> pool;
+      if (rng.uniform_int(3) < 2) {
+        for (const NodeId v : healer.cds()) {
+          if (up[v]) pool.push_back(v);
+        }
+      }
+      if (pool.empty()) {
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          if (up[v]) pool.push_back(v);
+        }
+      }
+      up[pool[rng.uniform_int(pool.size())]] = false;
+      const HealReport r = healer.on_churn(up);
+      ASSERT_NE(r.action, HealAction::kUnhealable) << name;
+      ASSERT_TRUE(valid_forest(g, up, healer.cds())) << name << ' ' << crash;
+      rec.record(r, healer);
+    }
+    got.push_back(rec.row());
+  }
+
+  // One crash wave takes three of every four backbone members: less
+  // than the rebuild fraction survives, so the pass re-runs the
+  // distributed construction.
+  {
+    const auto inst = heal_field(5);
+    const Graph& g = inst.graph;
+    const std::vector<NodeId> initial = mcds::core::waf_cds(g).cds;
+    SelfHealingCds healer(g, initial);
+    std::vector<bool> up(g.num_nodes(), true);
+    for (std::size_t i = 0; i < initial.size(); ++i) {
+      if (i % 4 != 0) up[initial[i]] = false;
+    }
+    HealRecorder rec("massacre");
+    const HealReport r = healer.on_churn(up);
+    EXPECT_EQ(r.action, HealAction::kRebuilt);
+    ASSERT_TRUE(valid_forest(g, up, healer.cds()));
+    rec.record(r, healer);
+    got.push_back(rec.row());
+  }
+
+  // Island-scoped passes and the reconcile at the heal, in the shape of
+  // the partition-tolerance bench: the nodes split by id into two
+  // halves, each half's replica heals its own island after every
+  // backbone crash, and the master merges both views.
+  {
+    const auto inst = heal_field(6);
+    const Graph& g = inst.graph;
+    const std::size_t n = g.num_nodes();
+    const std::vector<NodeId> initial = mcds::core::waf_cds(g).cds;
+    SelfHealingCds master(g, initial);
+    std::vector<std::vector<NodeId>> halves(2);
+    for (NodeId v = 0; v < n; ++v) halves[v < n / 2 ? 0 : 1].push_back(v);
+    std::vector<std::unique_ptr<SelfHealingCds>> replicas;
+    for (const auto& half : halves) {
+      replicas.push_back(std::make_unique<SelfHealingCds>(g, master.cds()));
+      replicas.back()->set_island(half);
+    }
+    HealRecorder rec("island-reconcile");
+    std::vector<bool> up(n, true);
+    for (std::size_t c = 0; c < 5; ++c) {
+      const NodeId victim =
+          c % 2 == 0 ? initial[c] : initial[initial.size() - 1 - c];
+      up[victim] = false;
+      for (const auto& replica : replicas) {
+        rec.record(replica->on_churn(up), *replica);
+      }
+    }
+    std::vector<mcds::dist::BackboneView> views;
+    for (const auto& replica : replicas) views.push_back(replica->view());
+    const HealReport r = master.reconcile(views, up);
+    EXPECT_NE(r.action, HealAction::kUnhealable);
+    ASSERT_TRUE(valid_forest(g, up, master.cds()));
+    rec.record(r, master);
+    got.push_back(rec.row());
+  }
+
+  const std::vector<HealRow> want = {
+      {"crash-1", 23, 12, 5, 0, 9, 5, 58, 0xf1375c3241c3c66f},
+      {"crash-2", 25, 13, 2, 0, 8, 1, 52, 0xd69e7e3e2382a1af},
+      {"crash-3", 19, 17, 4, 0, 11, 1, 63, 0x5eff01fb6a1934c0},
+      {"crash-4", 19, 16, 5, 0, 7, 3, 51, 0x173fc2669d8fb474},
+      {"massacre", 0, 0, 0, 1, 0, 0, 51, 0x34ba730480f6e983},
+      {"island-reconcile", 7, 1, 3, 0, 0, 3, 88, 0xd1df19944cfe669c},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  std::size_t split_reconnected = 0;
+  std::size_t split_repaired = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "observed:\n" << format(got[i]);
+    split_reconnected += got[i].split_reconnected;
+    split_repaired += got[i].split_repaired;
+  }
+  // Both repair actions must run on fragmented survivor graphs.
+  EXPECT_GE(split_reconnected, 5u);
+  EXPECT_GE(split_repaired, 5u);
 }
 
 }  // namespace

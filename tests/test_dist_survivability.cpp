@@ -199,7 +199,7 @@ TEST(KmSurvivability, DegradedModeReportOnUnhealable) {
 
   mcds::obs::MetricsRegistry metrics;
   mcds::obs::Obs obs{&metrics, nullptr};
-  SelfHealingCds healer(g, built.backbone, {}, obs);
+  SelfHealingCds healer(g, built.backbone, obs);
 
   // A first healthy pass establishes a last-good view at some epoch.
   std::vector<bool> up(g.num_nodes(), true);

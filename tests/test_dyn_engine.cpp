@@ -133,11 +133,15 @@ TEST(DynEngine, IslandMergeBridgesClusters) {
 }
 
 TEST(DynEngine, EnvelopeRebuildRestoresConnectorBound) {
-  // A long churn run may trip the envelope policy; a rebuild re-derives
-  // the connectors from the maintained MIS, |B| <= 3|MIS| - 2 per
-  // component.
+  // The default 4|MIS| + 12 envelope never fires on this stream, so it
+  // runs under a tightened one. Each rebuild re-derives the connectors
+  // from the maintained MIS: |B| <= 3|MIS| - 2 per component, so also
+  // overall.
   const auto inst = mcds::udg::generate_instance({.nodes = 150}, 9);
-  DynamicCds engine(inst.points);
+  DynParams params;
+  params.envelope_factor = 2.0;
+  params.envelope_bias = 0;
+  DynamicCds engine(inst.points, params);
   mcds::sim::Rng rng(99);
   std::size_t rebuilds_seen = 0;
   for (int step = 0; step < 600; ++step) {
@@ -150,9 +154,14 @@ TEST(DynEngine, EnvelopeRebuildRestoresConnectorBound) {
     } else {
       r = engine.move(v, {rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
     }
-    if (r.rebuilt) ++rebuilds_seen;
+    if (r.rebuilt) {
+      ++rebuilds_seen;
+      EXPECT_LE(engine.cds_size(), 3 * engine.mis_size() - 2)
+          << "step " << step;
+    }
     expect_valid(engine, "churn step");
   }
+  EXPECT_GE(engine.rebuilds(), 1u);
   EXPECT_EQ(rebuilds_seen, engine.rebuilds());
 }
 

@@ -103,20 +103,10 @@ TEST(DynDeltaGraph, ApplyDeltaRemovalsBeforeAdditions) {
   EdgeDelta d;
   d.removed = {{1, 2}};
   d.added = {{0, 2}, {1, 3}};
+  EXPECT_FALSE(d.empty());
   dg.apply(d);
   const Graph oracle = make_graph(4, {{0, 1}, {2, 3}, {0, 2}, {1, 3}});
   expect_matches(dg, oracle);
-}
-
-TEST(DynDeltaGraph, NormalizeCancelsMatchedPairs) {
-  EdgeDelta d;
-  d.added = {{3, 1}, {0, 2}};    // non-canonical on purpose
-  d.removed = {{2, 0}, {4, 5}};  // {0,2} appears on both sides
-  d.normalize();
-  const std::vector<std::pair<NodeId, NodeId>> want_added{{1, 3}};
-  const std::vector<std::pair<NodeId, NodeId>> want_removed{{4, 5}};
-  EXPECT_EQ(d.added, want_added);
-  EXPECT_EQ(d.removed, want_removed);
   d.clear();
   EXPECT_TRUE(d.empty());
 }

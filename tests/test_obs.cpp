@@ -458,7 +458,7 @@ TEST(MaintenanceObs, CountsHealActions) {
   obs::MetricsRegistry reg;
   obs::TraceRecorder tr;
   const obs::Obs o{&reg, &tr};
-  dist::SelfHealingCds healer(inst.graph, r.cds, {}, o);
+  dist::SelfHealingCds healer(inst.graph, r.cds, o);
 
   std::vector<bool> up(inst.graph.num_nodes(), true);
   const auto intact = healer.on_churn(up);

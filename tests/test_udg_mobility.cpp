@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "graph/delta_graph.hpp"
 #include "udg/builder.hpp"
 
 namespace mcds::udg {
@@ -103,23 +102,6 @@ TEST(DynChurnSchedule, TopologyMatchesBatchBuilderPerEpoch) {
   for (const ChurnEpoch& epoch : trace) {
     for (int t = 0; t < 3; ++t) shadow.step();
     expect_same_csr(epoch.topology, build_udg(shadow.positions(), 1.5));
-  }
-}
-
-TEST(DynChurnSchedule, DeltasReplayBetweenEpochs) {
-  // epoch[e].delta applied to epoch[e-1].topology must reproduce
-  // epoch[e].topology exactly (and epoch[0].delta bridges from the
-  // initial positions).
-  const WaypointParams wp = small_field();
-  RandomWaypoint motion(25, wp, 33);
-  const graph::Graph initial = build_udg(motion.positions(), 1.2);
-  const auto trace = churn_schedule(motion, 1.2, 6, 2, {0.1, 0.3}, 8);
-  const graph::Graph* prev = &initial;
-  for (const ChurnEpoch& epoch : trace) {
-    graph::DeltaGraph replay(*prev);
-    replay.apply(epoch.delta);
-    expect_same_csr(replay.materialize(), epoch.topology);
-    prev = &epoch.topology;
   }
 }
 
