@@ -22,7 +22,8 @@
 //                    [--seed K] [--check-every M]
 //       streams synthetic churn (jittered moves, fail-stop crashes,
 //       recoveries) through the incremental dyn::DynamicCds engine and
-//       reports per-event latency percentiles and throughput
+//       reports its construction time, then per-event latency
+//       percentiles and throughput
 //
 // solve, dist and dynamic accept observability sinks:
 //   --trace F        Chrome trace-event JSON (chrome://tracing, Perfetto)
@@ -547,7 +548,15 @@ int cmd_dynamic(const Args& args) {
   for (const auto& p : points) side = std::max({side, p.x, p.y});
 
   ObsSinks sinks(args);
+  const auto b0 = std::chrono::steady_clock::now();
   dyn::DynamicCds engine(points, {}, sinks.handle());
+  const double build_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - b0)
+                              .count();
+  std::cout << "build: " << build_ms << " ms\n";
+  if (auto* g_build = sinks.handle().gauge("cli.dyn.build_ms")) {
+    g_build->set(build_ms);
+  }
   sim::Rng rng(seed);
   sim::Accumulator latency_us;
   const auto clamp = [side](double x) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <queue>
 #include <span>
@@ -54,6 +56,19 @@
 /// LocalBackbone::rebuild_connectors, whose maintained MIS is only
 /// arbitrary-maximal, patches each stall with bridge_gap() and drains
 /// again. Both run one engine over a possibly disconnected topology.
+///
+/// bridge_gap() answers from an exact, lazily validated index of *gap
+/// edges*: adjacent non-members x, y whose member neighbors lie in
+/// different components, keyed (m, x, y) with m the smallest member
+/// neighbor of x. At a stall no non-member touches two components, so
+/// the least-keyed gap edge is the first member–x–y–member path of a
+/// member-ascending scan. Members only join and components only merge,
+/// so an edge found invalid stays invalid; an edge can turn valid, or
+/// its key drop, only beside a node admitted since the previous stall.
+/// Cost: nothing before the first stall (select_next() callers never
+/// pay), one O(n + m) pass at it, then at each later stall O(Σ deg²)
+/// over the nodes admitted since the one before, plus one heap
+/// operation per entry pushed or popped.
 ///
 /// Policy requirements (duck-typed; both shipped policies model it):
 ///   using Score = <totally ordered, equality-comparable value type>;
@@ -187,36 +202,44 @@ class BasicConnectorEngine {
 
   /// The stall patch: once poll() has returned std::nullopt, admits the
   /// non-members x and y of the first member–x–y–member path whose end
-  /// members lie in different components, scanning member asc, then x
-  /// asc, then y asc, and returns {x, y} (one merge); std::nullopt when
-  /// no such path is left. At a stall no non-member touches two
-  /// components, so y's first member neighbor decides whether y closes a
-  /// gap. Called before a stall (candidates still queued and q > 1), it
-  /// throws std::logic_error.
+  /// members lie in different components, in the order member asc, then
+  /// x asc, then y asc, and returns {x, y} (one merge); std::nullopt when
+  /// no such path is left. Called before a stall (candidates still queued
+  /// and q > 1), it throws std::logic_error.
+  ///
+  /// At a stall no non-member touches two components, so that path is the
+  /// *gap edge* — adjacent non-members x, y whose member neighbors lie in
+  /// different components — of least key (m, x, y), m being x's smallest
+  /// member neighbor. The engine keeps a lazy min-heap of gap edges. The
+  /// first stall builds it in one O(n + m) pass. Because members only
+  /// join and components only merge, an edge found invalid (an end
+  /// admitted, or both ends in one component) stays invalid, and an edge
+  /// can turn valid or get a smaller key only beside a node admitted
+  /// since the previous stall. So each later stall re-keys just the
+  /// non-member neighbors of those nodes, then pops until an entry
+  /// validates. Nothing is allocated before the first stall.
   std::optional<std::array<NodeId, 2>> bridge_gap() {
     if (policy_.done(q_)) return std::nullopt;
     if (!heap_.empty()) {
       throw std::logic_error("ConnectorEngine: bridge_gap before a stall");
     }
-    const std::size_t n = g_.num_nodes();
-    for (NodeId m = 0; m < n; ++m) {
-      if (!member_[m]) continue;
-      const std::uint32_t root = uf_.find(m);
-      for (const NodeId x : g_.neighbors(m)) {
-        if (member_[x]) continue;
-        for (const NodeId y : g_.neighbors(x)) {
-          if (member_[y]) continue;
-          const auto nbrs = g_.neighbors(y);
-          const auto z = std::find_if(nbrs.begin(), nbrs.end(),
-                                      [&](NodeId v) { return member_[v]; });
-          if (z == nbrs.end() || uf_.find(*z) == root) continue;
-          admit(x);
-          admit(y);
-          refresh_neighbors(x);
-          refresh_neighbors(y);
-          return std::array<NodeId, 2>{x, y};
-        }
-      }
+    if (first_member_.empty()) {
+      index_gap_edges();
+    } else {
+      rekey_admitted();
+    }
+    // Keys only shrink, and a shrunk key was re-pushed at this stall or
+    // an earlier one, so the first entry that validates has a current key.
+    while (!gaps_.empty()) {
+      const auto [m, x, y] = gaps_.top();
+      gaps_.pop();
+      const NodeId my = first_member_[y];
+      if (member_[x] || member_[y] || uf_.find(m) == uf_.find(my)) continue;
+      admit(x);
+      admit(y);
+      refresh_neighbors(x);
+      refresh_neighbors(y);
+      return std::array<NodeId, 2>{x, y};
     }
     return std::nullopt;
   }
@@ -254,6 +277,7 @@ class BasicConnectorEngine {
   void admit(NodeId w) {
     member_[w] = true;
     ++q_;
+    if (!first_member_.empty()) admitted_.push_back(w);
     for (const NodeId v : g_.neighbors(w)) {
       if (member_[v] && uf_.unite(w, v)) {
         --q_;
@@ -277,14 +301,74 @@ class BasicConnectorEngine {
     }
   }
 
+  /// The first stall's O(n + m) pass: every node's smallest member
+  /// neighbor, then every gap edge out of every non-member.
+  void index_gap_edges() {
+    const std::size_t n = g_.num_nodes();
+    first_member_.assign(n, kNoMember);
+    for (NodeId m = 0; m < n; ++m) {
+      if (!member_[m]) continue;
+      for (const NodeId v : g_.neighbors(m)) {
+        first_member_[v] = std::min(first_member_[v], m);
+      }
+    }
+    for (NodeId x = 0; x < n; ++x) {
+      if (!member_[x]) push_gap_edges(x, false);
+    }
+  }
+
+  /// A later stall: lowers the smallest member neighbor of every
+  /// non-member beside a node admitted since the previous stall, then
+  /// pushes every gap edge at those non-members, both ways.
+  void rekey_admitted() {
+    for (const NodeId a : admitted_) {
+      for (const NodeId v : g_.neighbors(a)) {
+        first_member_[v] = std::min(first_member_[v], a);
+      }
+    }
+    ++stamp_;
+    for (const NodeId a : admitted_) {
+      for (const NodeId v : g_.neighbors(a)) {
+        if (member_[v] || mark_[v] == stamp_) continue;
+        mark_[v] = stamp_;
+        push_gap_edges(v, true);
+      }
+    }
+    admitted_.clear();
+  }
+
+  /// Pushes each gap edge (x, y) at non-member \p x; with \p both, also
+  /// (y, x), which turns valid when x gains its first member neighbor.
+  void push_gap_edges(NodeId x, bool both) {
+    const NodeId mx = first_member_[x];
+    if (mx == kNoMember) return;
+    const std::uint32_t root = uf_.find(mx);
+    for (const NodeId y : g_.neighbors(x)) {
+      const NodeId my = first_member_[y];
+      if (member_[y] || my == kNoMember || uf_.find(my) == root) continue;
+      gaps_.push({mx, x, y});
+      if (both) gaps_.push({my, y, x});
+    }
+  }
+
   graph::FrozenGraph g_;
   Policy policy_;
   graph::UnionFind uf_;
   std::vector<bool> member_;
   std::priority_queue<Entry> heap_;
-  std::vector<std::uint64_t> mark_;  ///< per-root stamps for distinct counts
+  /// Stamps: per root for distinct counts, per node for re-key dedup.
+  std::vector<std::uint64_t> mark_;
   std::uint64_t stamp_ = 0;
   std::size_t q_ = 0;  ///< current component count of G[members]
+  /// The gap-edge index (bridge_gap()), empty until the first stall:
+  /// each node's smallest member neighbor (kNoMember if none), the nodes
+  /// admitted since the last stall, and the min-heap of (m, x, y) keys.
+  static constexpr NodeId kNoMember = std::numeric_limits<NodeId>::max();
+  std::vector<NodeId> first_member_;
+  std::vector<NodeId> admitted_;
+  std::priority_queue<std::array<NodeId, 3>,
+                      std::vector<std::array<NodeId, 3>>, std::greater<>>
+      gaps_;
   /// Pre-resolved metric sinks (nullptr when observability is off).
   obs::Counter* c_uf_finds_ = nullptr;
   obs::Counter* c_uf_merges_ = nullptr;

@@ -91,9 +91,11 @@ class LocalBackbone {
   /// one phase-2 engine over \p g, each stall patched with a 3-hop
   /// connector pair. Used by the envelope policy: each max-gain connector
   /// merges >= 1 fragment and each pair exactly 1, so |B| <= 3|MIS| - 2
-  /// per component, inside the 4|MIS| + 12 envelope. O(n + m) plus one
-  /// member scan per stall. Throws std::invalid_argument if a dead node
-  /// of \p g has an edge.
+  /// per component, inside the 4|MIS| + 12 envelope. O(n + m), plus one
+  /// more O(n + m) pass at the first stall and, at each later one, work
+  /// around the nodes admitted since the stall before
+  /// (ConnectorEngine::bridge_gap()). Throws std::invalid_argument if a
+  /// dead node of \p g has an edge.
   void rebuild_connectors(const graph::DeltaGraph& g,
                           std::span<const std::uint8_t> alive);
 

@@ -3,11 +3,15 @@
 // must produce the *same* connector sequence and GreedyStep trace —
 // node, q_before and gain at every step — as the per-round full-rescan
 // reference (greedy_connectors_reference), on the regression corpus
-// and on 200 random UDG instances.
+// and on 200 random UDG instances. The stall patch, bridge_gap(), is
+// held to a member-ascending reference scan the same way.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <type_traits>
@@ -16,7 +20,12 @@
 #include "core/connector_engine.hpp"
 #include "core/greedy_connect.hpp"
 #include "core/validate.hpp"
+#include "graph/subgraph.hpp"
+#include "graph/union_find.hpp"
+#include "sim/rng.hpp"
 #include "test_util.hpp"
+#include "udg/builder.hpp"
+#include "udg/deployment.hpp"
 #include "udg/instance.hpp"
 
 namespace mcds::core {
@@ -216,6 +225,114 @@ TEST(ConnectorEngine, BridgeGapRequiresAStall) {
   }
   EXPECT_TRUE(engine.done());
   EXPECT_FALSE(engine.bridge_gap().has_value());
+}
+
+// The stall patch as a from-scratch scan over \p member: the first
+// member–x–y–member path whose end members lie in different components,
+// scanning member asc, then x asc, then y asc; returns {member, x, y}.
+// At a stall no non-member touches two components, so y's first member
+// neighbor decides whether y closes a gap.
+std::optional<std::array<NodeId, 3>> reference_gap_scan(
+    const Graph& g, const std::vector<char>& member) {
+  const std::size_t n = g.num_nodes();
+  graph::UnionFind uf(n);
+  for (NodeId u = 0; u < n; ++u) {
+    if (!member[u]) continue;
+    for (const NodeId v : g.neighbors(u)) {
+      if (member[v]) uf.unite(u, v);
+    }
+  }
+  for (NodeId m = 0; m < n; ++m) {
+    if (!member[m]) continue;
+    const std::uint32_t root = uf.find(m);
+    for (const NodeId x : g.neighbors(m)) {
+      if (member[x]) continue;
+      for (const NodeId y : g.neighbors(x)) {
+        if (member[y]) continue;
+        const auto nbrs = g.neighbors(y);
+        const auto z = std::find_if(nbrs.begin(), nbrs.end(),
+                                    [&](NodeId v) { return member[v]; });
+        if (z == nbrs.end() || uf.find(*z) == root) continue;
+        return std::array<NodeId, 3>{m, x, y};
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+// One engine drained to the end — poll() to a stall, bridge_gap(),
+// repeat — against a reference that restarts a fresh engine at every
+// stall and patches with reference_gap_scan(). Fields run from dense to
+// sparse (side 0.4·√n to 1.3·√n), so most hold many topology
+// components. Fields 1..200 are seeded with a first-fit MIS over a
+// random order, which stalls at 3-hop gaps. Fields 201..260 skip a
+// quarter of its picks: the seed no longer dominates, so a node can gain
+// its first member neighbor between stalls, which turns gap edges valid
+// from both of its sides.
+TEST(ConnectorEngine, BridgeGapMatchesReferenceScan) {
+  std::size_t stalls = 0;
+  std::size_t patches_below_previous = 0;
+  for (std::uint64_t seed = 1; seed <= 260; ++seed) {
+    sim::Rng rng(seed * 7919);
+    const std::size_t n = 50 + rng.uniform_int(2951);  // 50..3000
+    const double side =
+        (0.4 + 0.9 * rng.uniform01()) * std::sqrt(static_cast<double>(n));
+    const Graph g =
+        udg::build_udg(udg::deploy_uniform_square(n, side, rng));
+    std::vector<NodeId> order(n);
+    std::iota(order.begin(), order.end(), NodeId{0});
+    rng.shuffle(order);
+    std::vector<char> member(n, 0);
+    std::vector<NodeId> members;
+    for (const NodeId v : order) {
+      if (seed > 200 && rng.uniform01() < 0.25) continue;
+      const auto nbrs = g.neighbors(v);
+      if (std::none_of(nbrs.begin(), nbrs.end(),
+                       [&](NodeId u) { return member[u]; })) {
+        member[v] = 1;
+        members.push_back(v);
+      }
+    }
+    const auto add = [&](NodeId v) {
+      member[v] = 1;
+      members.push_back(v);
+    };
+
+    ConnectorEngine engine(g, members);
+    std::optional<NodeId> previous;  // member the last patch hung off
+    while (true) {
+      ConnectorEngine reference(g, members);
+      ASSERT_EQ(engine.components(), reference.components()) << seed;
+      while (true) {
+        const auto got = engine.poll();
+        const auto want = reference.poll();
+        ASSERT_EQ(got.has_value(), want.has_value()) << seed;
+        if (!got) break;
+        ASSERT_EQ(got->node, want->node) << seed;
+        ASSERT_EQ(got->q_before, want->q_before) << seed;
+        ASSERT_EQ(got->gain, want->gain) << seed;
+        add(got->node);
+      }
+      const auto want = reference_gap_scan(g, member);
+      const auto got = engine.bridge_gap();
+      ASSERT_EQ(got.has_value(), want.has_value()) << seed;
+      if (!got) break;
+      ++stalls;
+      ASSERT_EQ((*got)[0], (*want)[1]) << seed;
+      ASSERT_EQ((*got)[1], (*want)[2]) << seed;
+      if (previous && (*want)[0] < *previous) ++patches_below_previous;
+      previous = (*want)[0];
+      add((*got)[0]);
+      add((*got)[1]);
+    }
+    EXPECT_EQ(engine.components(),
+              graph::subset_components(g, members).second)
+        << seed;
+  }
+  EXPECT_GE(stalls, 1000u);
+  // A patch below the previous one runs through a member admitted since
+  // that patch: only re-keying at the next stall can find it.
+  EXPECT_GE(patches_below_previous, 1u);
 }
 
 }  // namespace
