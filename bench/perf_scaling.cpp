@@ -357,7 +357,7 @@ BENCHMARK(BM_DynamicChurn)
     ->Arg(10000)
     ->Arg(100000)
     ->Arg(1000000)
-    ->Complexity(benchmark::o1);
+    ->Complexity();
 
 void BM_DynamicRebuild(benchmark::State& state) {
   // The baseline the engine replaces: apply the same event stream to a

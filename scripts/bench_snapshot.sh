@@ -58,18 +58,21 @@ if [[ ! -x "$BIN" ]]; then
   exit 1
 fi
 
+# Provenance: the recording commit and a wall-clock date are stamped
+# into the snapshot context below, so every committed BENCH_*.json says
+# what code produced it (bench_compare.py prints both when a comparison
+# drifts). The commit's dirty state is taken before the run, which
+# rewrites the tracked $OUT and would make every checkout look dirty.
+GIT_SHA="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
+GIT_DIRTY=""
+if ! git diff --quiet HEAD 2>/dev/null; then GIT_DIRTY="-dirty"; fi
+
 "$BIN" \
   --benchmark_filter="$BENCH_FILTER" \
   --benchmark_out="$OUT" \
   --benchmark_out_format=json \
   "$@"
 
-# Provenance: stamp the recording commit and a wall-clock date into the
-# snapshot context, so every committed BENCH_*.json says what code
-# produced it (bench_compare.py prints both when a comparison drifts).
-GIT_SHA="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
-GIT_DIRTY=""
-if ! git diff --quiet HEAD 2>/dev/null; then GIT_DIRTY="-dirty"; fi
 SNAP_DATE="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 
 # Gate on the recorded context before declaring the snapshot good.

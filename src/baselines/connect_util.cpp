@@ -4,14 +4,9 @@
 
 namespace mcds::baselines {
 
-std::vector<NodeId> connect_via_shortest_paths(
-    const Graph& g, const std::vector<NodeId>& seeds) {
-  return graph::shortest_path_augment(g, seeds);
-}
-
 std::vector<NodeId> connected_closure(const Graph& g,
                                       const std::vector<NodeId>& seeds) {
-  const auto connectors = connect_via_shortest_paths(g, seeds);
+  const auto connectors = graph::shortest_path_augment(g, seeds);
   std::vector<bool> in(g.num_nodes(), false);
   for (const NodeId v : seeds) in[v] = true;
   for (const NodeId v : connectors) in[v] = true;

@@ -16,14 +16,8 @@ namespace mcds::baselines {
 using graph::Graph;
 using graph::NodeId;
 
-/// Returns the connector nodes (not in \p seeds) whose addition makes
-/// G[seeds ∪ connectors] connected. Preconditions: g connected and
-/// seeds non-empty.
-[[nodiscard]] std::vector<NodeId> connect_via_shortest_paths(
-    const Graph& g, const std::vector<NodeId>& seeds);
-
-/// Convenience: the union seeds ∪ connect_via_shortest_paths(seeds),
-/// ascending node id.
+/// The union seeds ∪ graph::shortest_path_augment(g, seeds), ascending
+/// node id. Preconditions: g connected and seeds non-empty.
 [[nodiscard]] std::vector<NodeId> connected_closure(
     const Graph& g, const std::vector<NodeId>& seeds);
 

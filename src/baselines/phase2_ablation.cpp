@@ -3,9 +3,9 @@
 #include <limits>
 #include <stdexcept>
 
-#include "baselines/connect_util.hpp"
 #include "core/greedy_connect.hpp"
 #include "core/waf.hpp"
+#include "graph/steiner.hpp"
 #include "graph/subgraph.hpp"
 #include "sim/rng.hpp"
 
@@ -118,7 +118,7 @@ Phase2Result cds_with_policy(const Graph& g, ConnectorPolicy policy,
     }
     case ConnectorPolicy::kShortestPath: {
       out.phase1 = core::bfs_first_fit_mis(g, root);
-      out.connectors = connect_via_shortest_paths(g, out.phase1.mis);
+      out.connectors = graph::shortest_path_augment(g, out.phase1.mis);
       out.cds = merge(g, out.phase1.in_mis, out.connectors);
       return out;
     }

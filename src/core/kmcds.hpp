@@ -39,6 +39,14 @@
 /// deficit-reduction per unit weight and runs phase 2 on the
 /// NodeWeightedGainPolicy engine — the node-weighted (1,m)-CDS of the
 /// minimum-weight m-fold literature (arXiv:1510.05886).
+///
+/// kmcds.cpp holds the builders only. check_kmcds and
+/// check_kmcds_components, declared here, are defined in validate.cpp
+/// as thin entry points over the one verdict function behind check_cds
+/// too (see validate.hpp), and the k = 2 builder calls that file's cut
+/// scan, find_avoidable_cut, so builder and validator apply one rule.
+/// Witness order: check_kmcds names a split's witnesses in set order,
+/// check_kmcds_components by smallest member.
 
 namespace mcds::core {
 

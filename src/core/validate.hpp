@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,6 +13,16 @@
 /// Correctness predicates for dominating-set constructions. Every
 /// algorithm in this library is checked against these in tests, and the
 /// bench harness re-checks each produced CDS before reporting it.
+///
+/// Every backbone verdict — check_cds (serial and pooled),
+/// check_cds_components, is_cds, and kmcds.hpp's check_kmcds and
+/// check_kmcds_components — comes from one function in validate.cpp:
+/// one membership pass, one m-fold coverage sweep (chunked over an
+/// optional pool), the split rule first_split, and for k = 2 the
+/// avoidable-cut scan find_avoidable_cut, which the k = 2 builder calls
+/// too. Witness order: a split names its first member in set order and
+/// the first member outside that member's fragment; check_kmcds_components
+/// sorts the set first, so it names the smallest such members.
 
 namespace mcds::par {
 class ThreadPool;
@@ -103,6 +115,51 @@ struct CdsCheck {
 /// std::invalid_argument on out-of-range members.
 [[nodiscard]] CdsCheck check_cds_components(const Graph& g,
                                             std::span<const NodeId> set);
+
+/// Label of "no component" in the split rule and the cut scan.
+inline constexpr std::uint32_t kNoLabel =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// The split rule's answer: the smallest-label topology component whose
+/// members fall in two fragments of G[set], with its first member in set
+/// order and the first member of that component outside that member's
+/// fragment.
+struct SetSplit {
+  std::uint32_t component = kNoLabel;  ///< kNoLabel: no component splits
+  NodeId first = graph::kNoNode;
+  NodeId second = graph::kNoNode;
+};
+
+/// The split rule: labels G[set] once and compares those labels with
+/// \p component — the topology component of each member, in set order,
+/// every label below \p num_components — in one pass. All-zero labels
+/// ask whether G[set] is connected at all. Throws std::invalid_argument
+/// on out-of-range or duplicate members.
+[[nodiscard]] SetSplit first_split(const Graph& g, std::span<const NodeId> set,
+                                   std::span<const std::uint32_t> component,
+                                   std::size_t num_components);
+
+/// The first avoidable cut of G[members]: a cut vertex v of the backbone
+/// with two member fragments of G[members] - v inside one component of
+/// G - v (the topology could hold them together, the backbone does not).
+/// Splits the topology forces are excused: UDG instances routinely have
+/// bridge nodes.
+struct AvoidableCut {
+  NodeId cut = graph::kNoNode;  ///< kNoNode: every cut is excusable
+  /// Fragment label of each member in G[members] - cut, in member order
+  /// (kNoLabel for the cut itself).
+  std::vector<std::uint32_t> fragment;
+  /// Fragment of the smallest member of the shared component of G - cut.
+  std::uint32_t source = kNoLabel;
+  /// The first member of the shared component outside that fragment.
+  NodeId severed = graph::kNoNode;
+};
+
+/// The cut scan behind both the k = 2 builder and its validator, so the
+/// two cannot apply different rules: the smallest avoidable cut of
+/// G[members]. Members must be ascending.
+[[nodiscard]] AvoidableCut find_avoidable_cut(const Graph& g,
+                                              std::span<const NodeId> members);
 
 /// The 2-hop separation property of the BFS first-fit MIS ([10], used by
 /// Lemma 9): every MIS node other than the BFS root has another MIS node

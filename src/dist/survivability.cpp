@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/validate.hpp"
 #include "dist/maintenance.hpp"
 #include "graph/subgraph.hpp"
-#include "graph/traversal.hpp"
 #include "obs/export.hpp"
 
 namespace mcds::dist {
@@ -49,22 +49,21 @@ EventEval evaluate_unhealed(const Graph& g, const std::vector<bool>& up,
   eval.dominated = covered == outside;
 
   // Member connectivity per survivor component: the live members inside
-  // each component of G[live] must induce one connected piece. A
-  // memberless component holding any non-member already failed the
-  // coverage sweep above (its nodes have no live member neighbor).
-  const auto sub = graph::induced_subgraph(g, live);
-  const auto [comp, num_comps] = graph::connected_components(sub.graph);
-  std::vector<std::vector<NodeId>> members_of(num_comps);
-  for (NodeId i = 0; i < sub.mapping.size(); ++i) {
-    if (in_backbone[sub.mapping[i]]) members_of[comp[i]].push_back(i);
+  // each component of G[live] must induce one connected piece — the
+  // split rule, with G[live]'s labels as the topology. A memberless
+  // component holding any non-member already failed the coverage sweep
+  // above (its nodes have no live member neighbor).
+  const auto [comp, num_comps] = graph::subset_components(g, live);
+  std::vector<NodeId> members;
+  std::vector<std::uint32_t> member_comp;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    if (!in_backbone[live[i]]) continue;
+    members.push_back(live[i]);
+    member_comp.push_back(comp[i]);
   }
-  for (const auto& members : members_of) {
-    if (members.size() < 2) continue;
-    if (graph::count_components_subset(sub.graph, members) > 1) {
-      eval.connected = false;
-      break;
-    }
-  }
+  eval.connected =
+      core::first_split(g, members, member_comp, num_comps).component ==
+      core::kNoLabel;
   return eval;
 }
 

@@ -22,26 +22,8 @@ using core::is_cds;
 
 TEST(ConnectUtil, JoinsPathEndpoints) {
   const Graph g = test::make_path(5);
-  const auto connectors =
-      connect_via_shortest_paths(g, std::vector<NodeId>{0, 4});
-  EXPECT_EQ(connectors.size(), 3u);  // 1, 2, 3 in some order
   const auto closure = connected_closure(g, std::vector<NodeId>{0, 4});
   EXPECT_EQ(closure, (std::vector<NodeId>{0, 1, 2, 3, 4}));
-}
-
-TEST(ConnectUtil, AlreadyConnectedSeedsNoop) {
-  const Graph g = test::make_cycle(6);
-  EXPECT_TRUE(
-      connect_via_shortest_paths(g, std::vector<NodeId>{1, 2}).empty());
-}
-
-TEST(ConnectUtil, Preconditions) {
-  const Graph g = test::make_path(3);
-  EXPECT_THROW((void)connect_via_shortest_paths(g, {}),
-               std::invalid_argument);
-  const graph::Graph disc = test::make_graph(4, {{0, 1}});
-  EXPECT_THROW((void)connect_via_shortest_paths(disc, {0, 2}),
-               std::invalid_argument);
 }
 
 TEST(GuhaKhuller, KnownGraphs) {
