@@ -23,7 +23,8 @@
 //       streams synthetic churn (jittered moves, fail-stop crashes,
 //       recoveries) through the incremental dyn::DynamicCds engine and
 //       reports its construction time, then per-event latency
-//       percentiles and throughput
+//       percentiles, throughput and the backbone nodes each repair
+//       explored (repair scope: sum, p50, p99, max)
 //
 // solve, dist and dynamic accept observability sinks:
 //   --trace F        Chrome trace-event JSON (chrome://tracing, Perfetto)
@@ -559,6 +560,8 @@ int cmd_dynamic(const Args& args) {
   }
   sim::Rng rng(seed);
   sim::Accumulator latency_us;
+  std::vector<double> scope;  // backbone nodes each event's repair explored
+  std::size_t scope_sum = 0;
   const auto clamp = [side](double x) {
     return x < 0.0 ? 0.0 : (x > side ? side : x);
   };
@@ -576,14 +579,12 @@ int cmd_dynamic(const Args& args) {
                   : geom::Vec2{rng.uniform(0.0, side),
                                rng.uniform(0.0, side)};
     const auto t0 = std::chrono::steady_clock::now();
-    if (!was_alive) {
-      engine.revive(v, target);
-    } else if (crashes) {
-      engine.erase(v);
-    } else {
-      engine.move(v, target);
-    }
+    const dyn::EventReport report = !was_alive ? engine.revive(v, target)
+                                    : crashes  ? engine.erase(v)
+                                               : engine.move(v, target);
     const auto t1 = std::chrono::steady_clock::now();
+    scope.push_back(static_cast<double>(report.repair.scope));
+    scope_sum += report.repair.scope;
     const double us =
         std::chrono::duration<double, std::micro>(t1 - t0).count();
     latency_us.add(us);
@@ -604,6 +605,7 @@ int cmd_dynamic(const Args& args) {
     return 2;
   }
 
+  const sim::Summary scope_stats = sim::summarize(scope);
   const double total_s = latency_us.count()
                              ? latency_us.mean() * 1e-6 *
                                    static_cast<double>(latency_us.count())
@@ -618,6 +620,9 @@ int cmd_dynamic(const Args& args) {
             << "latency (us): p50 " << latency_us.p50() << ", p95 "
             << latency_us.p95() << ", p99 " << latency_us.p99() << ", max "
             << latency_us.max() << "\n"
+            << "repair scope: sum " << scope_sum << ", p50 "
+            << scope_stats.p50 << ", p99 " << scope_stats.p99 << ", max "
+            << scope_stats.max << "\n"
             << "backbone: " << engine.cds_size() << " (MIS "
             << engine.mis_size() << ", envelope "
             << 4 * engine.mis_size() + 12 << ")\n"

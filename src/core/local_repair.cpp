@@ -21,11 +21,6 @@ void sort_unique(std::vector<NodeId>& v) {
   v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
-void fill_neighbors(const DeltaGraph& g, NodeId u, std::vector<NodeId>& out) {
-  out.clear();
-  g.for_each_neighbor(u, [&](NodeId v) { out.push_back(v); });
-}
-
 }  // namespace
 
 LocalBackbone::LocalBackbone(const DeltaGraph& g,
@@ -38,8 +33,7 @@ void LocalBackbone::grow(std::size_t n) {
   in_mis_.resize(n, 0);
   in_cds_.resize(n, 0);
   cover_.resize(n, 0);
-  visit_stamp_.resize(n, 0);
-  visit_owner_.resize(n, 0);
+  visit_.resize(n);
 }
 
 void LocalBackbone::dec_cover(NodeId v, std::vector<NodeId>& zeros) {
@@ -66,9 +60,9 @@ void LocalBackbone::rebuild(const DeltaGraph& g,
     if (!alive[v] || cover_[v] != 0) continue;
     in_mis_[v] = 1;
     ++mis_size_;
-    g.for_each_neighbor(v, [&](NodeId u) {
+    for (const NodeId u : g.neighbors(v)) {
       if (alive[u]) ++cover_[u];
-    });
+    }
   }
   rebuild_connectors(g, alive);
 }
@@ -172,9 +166,9 @@ RepairStats LocalBackbone::on_event(const DeltaGraph& g,
     in_mis_[w] = 0;
     --mis_size_;
     ++st.mis_removed;
-    g.for_each_neighbor(w, [&](NodeId x) {
+    for (const NodeId x : g.neighbors(w)) {
       if (alive[x]) dec_cover(x, zeros);
-    });
+    }
   }
 
   // 4. Birth: a node with no dominator must enter the MIS itself.
@@ -200,9 +194,9 @@ RepairStats LocalBackbone::on_event(const DeltaGraph& g,
       ++cds_size_;
       cds_dirty_ = true;
     }
-    g.for_each_neighbor(x, [&](NodeId y) {
+    for (const NodeId y : g.neighbors(x)) {
       if (alive[y]) ++cover_[y];
-    });
+    }
     new_members.push_back(x);
   }
 
@@ -227,9 +221,9 @@ RepairStats LocalBackbone::on_event(const DeltaGraph& g,
   std::vector<NodeId> seeds = std::move(new_members);
   for (const NodeId t : touched) {
     if (alive[t] && in_cds_[t]) seeds.push_back(t);
-    g.for_each_neighbor(t, [&](NodeId y) {
+    for (const NodeId y : g.neighbors(t)) {
       if (alive[y] && in_cds_[y]) seeds.push_back(y);
-    });
+    }
   }
   ensure_connected(g, alive, seeds, st);
   return st;
@@ -248,7 +242,7 @@ void LocalBackbone::ensure_connected(const DeltaGraph& g,
 
   std::vector<NodeId> islanded;  // nodes of confirmed partition islands
 
-  while (true) {
+  for (bool first_pass = true;; first_pass = false) {
     sort_unique(seeds);
     std::vector<NodeId> active;
     active.reserve(seeds.size());
@@ -265,14 +259,16 @@ void LocalBackbone::ensure_connected(const DeltaGraph& g,
     // smallest group, unite groups when searches meet. Stops when all
     // groups united (connected) or at most one is still expanding (the
     // finished ones are complete fragments to re-attach).
-    ++cur_stamp_;
+    if (++cur_stamp_ == 0) {  // wrapped: a stale stamp could read as current
+      std::fill(visit_.begin(), visit_.end(), Visit{});
+      cur_stamp_ = 1;
+    }
     const auto k = static_cast<std::uint32_t>(active.size());
     graph::UnionFind uf(k);
     std::vector<Group> groups(k);
     for (std::uint32_t i = 0; i < k; ++i) {
       const NodeId s = active[i];
-      visit_stamp_[s] = cur_stamp_;
-      visit_owner_[s] = i;
+      visit_[s] = {cur_stamp_, i};
       groups[i].frontier.push_back(s);
       groups[i].nodes.push_back(s);
     }
@@ -291,17 +287,20 @@ void LocalBackbone::ensure_connected(const DeltaGraph& g,
       if (pick == k) break;  // defensive: nothing left to expand
       const NodeId x = groups[pick].frontier[groups[pick].next++];
       std::uint32_t self = pick;
-      g.for_each_neighbor(x, [&](NodeId y) {
-        if (!alive[y] || !in_cds_[y]) return;
-        if (visit_stamp_[y] != cur_stamp_) {
-          visit_stamp_[y] = cur_stamp_;
-          visit_owner_[y] = self;
+      for (const NodeId y : g.neighbors(x)) {
+        // No liveness test: a dead node has no edges (udg::GridIndex
+        // erases them all, and rebuild_connectors() throws otherwise),
+        // so every neighbor of a backbone node is alive.
+        if (!in_cds_[y]) continue;
+        Visit& seen = visit_[y];
+        if (seen.stamp != cur_stamp_) {
+          seen = {cur_stamp_, self};
           groups[self].frontier.push_back(y);
           groups[self].nodes.push_back(y);
-          return;
+          continue;
         }
-        const std::uint32_t other = uf.find(visit_owner_[y]);
-        if (other == self) return;
+        const std::uint32_t other = uf.find(seen.owner);
+        if (other == self) continue;
         // Two searches met: unite, folding the loser's state into
         // whichever index the union-find keeps as root.
         uf.unite(other, self);
@@ -320,7 +319,7 @@ void LocalBackbone::ensure_connected(const DeltaGraph& g,
         l = Group{};
         --live;
         self = root;
-      });
+      }
       Group& cur = groups[self];
       if (cur.next >= cur.frontier.size() && !cur.finished) {
         cur.finished = true;
@@ -338,9 +337,14 @@ void LocalBackbone::ensure_connected(const DeltaGraph& g,
     // its own component).
     std::vector<std::uint32_t> group_root(k);
     for (std::uint32_t i = 0; i < k; ++i) group_root[i] = uf.find(i);
-    bool any_bridge = false;
+    std::uint32_t open = k;  // the one unfinished group, if any
+    std::vector<NodeId> bridges;
     for (std::uint32_t r = 0; r < k; ++r) {
-      if (group_root[r] != r || !groups[r].finished) continue;
+      if (group_root[r] != r) continue;
+      if (!groups[r].finished) {
+        open = r;
+        continue;
+      }
       std::vector<NodeId>& frag = groups[r].nodes;
       std::sort(frag.begin(), frag.end());
       NodeId bridge[2] = {0, 0};
@@ -358,13 +362,61 @@ void LocalBackbone::ensure_connected(const DeltaGraph& g,
         ++st.connectors_added;
         cds_dirty_ = true;
         seeds.push_back(bridge[b]);
+        bridges.push_back(bridge[b]);
       }
-      any_bridge = true;
     }
     // No bridge added: everything left is one (possibly unfinished)
     // group plus self-contained islands — per-component connected.
-    if (!any_bridge) return;
+    if (bridges.empty()) return;
+    // The next pass would search from every surviving seed again. After
+    // the first pass, when no fragment was islanded, prove instead that
+    // the bridges joined every seed into one fragment; that search would
+    // then stop at once and change nothing.
+    if (first_pass && islanded.empty() &&
+        bridges_rejoin(g, group_root, open, bridges)) {
+      return;
+    }
   }
+}
+
+bool LocalBackbone::bridges_rejoin(const DeltaGraph& g,
+                                   const std::vector<std::uint32_t>& group_root,
+                                   std::uint32_t open,
+                                   const std::vector<NodeId>& bridges) {
+  // Union-find over the pass's groups (elements 0..k-1) and its bridge
+  // nodes (k + j). Every union is an edge path in the new backbone:
+  //  * groups that met during the search are one connected region;
+  //  * a bridge node's neighbor stamped this pass lies in its group's
+  //    region, or is another bridge (stamped below with its element);
+  //  * an unstamped backbone neighbor lies in the fragment of the one
+  //    unfinished group. Each finished group is a complete fragment, so
+  //    the neighbor's fragment is not finished. Had it no seed, then by
+  //    the seed lemma (file comment) the event split no backbone of its
+  //    topology component, so it would be that component's entire
+  //    backbone — yet the bridge sits in the component of the finished
+  //    fragment it leaves, which would then be this very fragment. So it
+  //    holds a seed, and that seed's group is the unfinished one.
+  // One set ⇒ every surviving seed lies in one fragment of the new
+  // backbone: the next search would end at once with nothing to do.
+  const auto k = static_cast<std::uint32_t>(group_root.size());
+  for (std::uint32_t j = 0; j < bridges.size(); ++j) {
+    visit_[bridges[j]] = {cur_stamp_, k + j};
+  }
+  graph::UnionFind uf(k + bridges.size());
+  for (std::uint32_t i = 0; i < k; ++i) uf.unite(i, group_root[i]);
+  for (std::uint32_t j = 0; j < bridges.size(); ++j) {
+    for (const NodeId y : g.neighbors(bridges[j])) {
+      if (!in_cds_[y]) continue;
+      std::uint32_t into = open;
+      if (visit_[y].stamp == cur_stamp_) {
+        into = visit_[y].owner;
+      } else if (open == k) {
+        return false;  // no unfinished group to place it in: search
+      }
+      uf.unite(k + j, into);
+    }
+  }
+  return uf.num_sets() == 1;
 }
 
 std::size_t LocalBackbone::find_bridge(
@@ -373,20 +425,15 @@ std::size_t LocalBackbone::find_bridge(
     const std::vector<std::uint32_t>& group_root, std::uint32_t root,
     NodeId out[2]) const {
   const auto in_fragment = [&](NodeId z) {
-    return visit_stamp_[z] == cur_stamp_ && group_root[visit_owner_[z]] == root;
+    return visit_[z].stamp == cur_stamp_ && group_root[visit_[z].owner] == root;
   };
-  std::vector<NodeId> nf;
-  std::vector<NodeId> nx;
-  std::vector<NodeId> ny;
   // Distance 2: fragment — x — z with x outside the backbone and z a
   // backbone node of another fragment; x alone re-attaches us.
   // Iteration is (f asc, x asc, z asc) so the choice is deterministic.
   for (const NodeId f : fragment) {
-    fill_neighbors(g, f, nf);
-    for (const NodeId x : nf) {
+    for (const NodeId x : g.neighbors(f)) {
       if (!alive[x] || in_cds_[x]) continue;
-      fill_neighbors(g, x, nx);
-      for (const NodeId z : nx) {
+      for (const NodeId z : g.neighbors(x)) {
         if (!alive[z] || !in_cds_[z] || in_fragment(z)) continue;
         out[0] = x;
         return 1;
@@ -395,14 +442,11 @@ std::size_t LocalBackbone::find_bridge(
   }
   // Distance 3: fragment — x — y — z, connector pair {x, y}.
   for (const NodeId f : fragment) {
-    fill_neighbors(g, f, nf);
-    for (const NodeId x : nf) {
+    for (const NodeId x : g.neighbors(f)) {
       if (!alive[x] || in_cds_[x]) continue;
-      fill_neighbors(g, x, nx);
-      for (const NodeId y : nx) {
+      for (const NodeId y : g.neighbors(x)) {
         if (!alive[y] || in_cds_[y]) continue;
-        fill_neighbors(g, y, ny);
-        for (const NodeId z : ny) {
+        for (const NodeId z : g.neighbors(y)) {
           if (!alive[z] || !in_cds_[z] || in_fragment(z)) continue;
           out[0] = x;
           out[1] = y;

@@ -6,26 +6,6 @@
 
 namespace mcds::graph {
 
-namespace {
-
-/// Inserts \p x into the sorted vector \p v; returns false if present.
-bool sorted_insert(std::vector<NodeId>& v, NodeId x) {
-  const auto it = std::lower_bound(v.begin(), v.end(), x);
-  if (it != v.end() && *it == x) return false;
-  v.insert(it, x);
-  return true;
-}
-
-/// Erases \p x from the sorted vector \p v; returns false if absent.
-bool sorted_erase(std::vector<NodeId>& v, NodeId x) {
-  const auto it = std::lower_bound(v.begin(), v.end(), x);
-  if (it == v.end() || *it != x) return false;
-  v.erase(it);
-  return true;
-}
-
-}  // namespace
-
 DeltaGraph::DeltaGraph(Graph base, double compact_fraction,
                        std::size_t compact_min_edits)
     : base_(std::move(base)),
@@ -37,7 +17,7 @@ DeltaGraph::DeltaGraph(Graph base, double compact_fraction,
   n_ = base_.num_nodes();
   base_nodes_ = n_;
   num_edges_ = base_.num_edges();
-  touched_.assign(n_, 0);
+  slot_.assign(n_, kUntouched);
 }
 
 void DeltaGraph::check_node(NodeId u) const {
@@ -54,41 +34,34 @@ bool DeltaGraph::base_has(NodeId u, NodeId v) const {
   return std::binary_search(list.begin(), list.end(), v);
 }
 
-DeltaGraph::Overlay& DeltaGraph::overlay_for(NodeId u) {
-  touched_[u] = 1;
-  return overlay_[u];
-}
-
 NodeId DeltaGraph::add_node() {
   const auto id = static_cast<NodeId>(n_);
   ++n_;
-  touched_.push_back(0);
+  slot_.push_back(kUntouched);
   return id;
 }
 
 int DeltaGraph::apply_half(NodeId u, NodeId v, bool add) {
-  Overlay& ov = overlay_for(u);
+  if (slot_[u] == kUntouched) {
+    const auto row = u < base_nodes_ ? base_.neighbors(u)
+                                     : std::span<const NodeId>{};
+    slot_[u] = static_cast<std::uint32_t>(rows_.size());
+    rows_.emplace_back(row.begin(), row.end());
+  }
+  std::vector<NodeId>& row = rows_[slot_[u]];
+  const auto it = std::lower_bound(row.begin(), row.end(), v);
+  const bool present = it != row.end() && *it == v;
+  if (add == present) {
+    throw std::invalid_argument(add ? "DeltaGraph: edge already exists"
+                                    : "DeltaGraph: edge does not exist");
+  }
   if (add) {
-    // Re-adding a removed base edge cancels the removal; otherwise the
-    // edge is genuinely new and goes to the added list.
-    if (base_has(u, v)) {
-      if (!sorted_erase(ov.removed, v)) {
-        throw std::invalid_argument("DeltaGraph: edge already exists");
-      }
-      return -1;
-    }
-    if (!sorted_insert(ov.added, v)) {
-      throw std::invalid_argument("DeltaGraph: edge already exists");
-    }
-    return 1;
+    row.insert(it, v);
+  } else {
+    row.erase(it);
   }
-  // Removing an overlay-added edge cancels the addition; removing a base
-  // edge records a tombstone.
-  if (sorted_erase(ov.added, v)) return -1;
-  if (!base_has(u, v) || !sorted_insert(ov.removed, v)) {
-    throw std::invalid_argument("DeltaGraph: edge does not exist");
-  }
-  return 1;
+  // An edit that restores the base adjacency cancels an earlier one.
+  return base_has(u, v) == add ? -1 : 1;
 }
 
 void DeltaGraph::add_edge(NodeId u, NodeId v) {
@@ -123,29 +96,8 @@ void DeltaGraph::apply(const EdgeDelta& delta) {
 bool DeltaGraph::has_edge(NodeId u, NodeId v) const {
   check_node(u);
   check_node(v);
-  if (!touched_[u]) return base_has(u, v);
-  const Overlay& ov = overlay_.find(u)->second;
-  if (std::binary_search(ov.added.begin(), ov.added.end(), v)) return true;
-  if (!base_has(u, v)) return false;
-  return !std::binary_search(ov.removed.begin(), ov.removed.end(), v);
-}
-
-std::size_t DeltaGraph::degree(NodeId u) const {
-  check_node(u);
-  std::size_t deg = u < base_nodes_ ? base_.degree(u) : 0;
-  if (touched_[u]) {
-    const Overlay& ov = overlay_.find(u)->second;
-    deg += ov.added.size();
-    deg -= ov.removed.size();
-  }
-  return deg;
-}
-
-std::vector<NodeId> DeltaGraph::neighbors_copy(NodeId u) const {
-  std::vector<NodeId> out;
-  out.reserve(degree(u));
-  for_each_neighbor(u, [&](NodeId v) { out.push_back(v); });
-  return out;
+  const auto row = neighbors(u);
+  return std::binary_search(row.begin(), row.end(), v);
 }
 
 bool DeltaGraph::compaction_due() const noexcept {
@@ -156,22 +108,23 @@ bool DeltaGraph::compaction_due() const noexcept {
 }
 
 Graph DeltaGraph::materialize() const {
-  // for_each_neighbor yields each row ascending: the CSR rows as is.
+  // Every row is ascending: the CSR rows as is.
   std::vector<std::uint32_t> offsets(n_ + 1, 0);
-  std::vector<NodeId> neighbors;
-  neighbors.reserve(2 * num_edges_);
+  std::vector<NodeId> flat;
+  flat.reserve(2 * num_edges_);
   for (NodeId u = 0; u < n_; ++u) {
-    for_each_neighbor(u, [&](NodeId v) { neighbors.push_back(v); });
-    offsets[u + 1] = static_cast<std::uint32_t>(neighbors.size());
+    const auto row = neighbors(u);
+    flat.insert(flat.end(), row.begin(), row.end());
+    offsets[u + 1] = static_cast<std::uint32_t>(flat.size());
   }
-  return Graph::from_csr(std::move(offsets), std::move(neighbors));
+  return Graph::from_csr(std::move(offsets), std::move(flat));
 }
 
 void DeltaGraph::compact() {
   base_ = materialize();
   base_nodes_ = n_;
-  overlay_.clear();
-  std::fill(touched_.begin(), touched_.end(), std::uint8_t{0});
+  rows_.clear();
+  std::fill(slot_.begin(), slot_.end(), kUntouched);
   overlay_edits_ = 0;
   ++compactions_;
 }

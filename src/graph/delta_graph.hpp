@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -12,14 +11,14 @@
 /// A mutable overlay over the immutable CSR core. A Graph cannot change
 /// once built, and rebuilding its CSR costs O(n + m) — exactly wrong for
 /// streaming churn where each event touches a handful of edges.
-/// DeltaGraph keeps a Graph as the base snapshot and layers per-node
-/// added / removed neighbor lists on the side. Iteration merges the two
-/// in ascending id order, so a traversal over a DeltaGraph visits
-/// exactly the sequence a rebuilt CSR would produce (golden traces over
-/// either representation agree byte for byte). When the overlay grows
-/// past a fraction of the base it is compacted — rebuilt into a fresh
-/// CSR — in one O(n + m) pass, amortizing the rebuild over the many
-/// events that fit under the threshold.
+/// DeltaGraph keeps a Graph as the base snapshot and, for every node an
+/// edit has touched, one sorted copy of that node's current row. A
+/// lookup reads the patched row or the base span, so a traversal over a
+/// DeltaGraph visits exactly the sequence a rebuilt CSR would produce
+/// (golden traces over either representation agree byte for byte). When
+/// the edits grow past a fraction of the base the graph is compacted —
+/// rebuilt into a fresh CSR — in one O(n + m) pass, amortizing the
+/// rebuild over the many events that fit under the threshold.
 
 namespace mcds::graph {
 
@@ -41,10 +40,9 @@ struct EdgeDelta {
 };
 
 /// A graph that accepts O(degree)-cost edge mutations over a frozen CSR
-/// snapshot. Node ids are stable; add_node() appends. The overlay keeps
-/// removed-lists as subsets of the base adjacency and added-lists
-/// disjoint from it, so membership and merged iteration are two binary
-/// searches / one two-pointer sweep per node.
+/// snapshot. Node ids are stable; add_node() appends. A node's first edit
+/// copies its base row into a patched row; later edits insert into or
+/// erase from that sorted row, so lookups cost one slot read.
 class DeltaGraph {
  public:
   DeltaGraph() = default;
@@ -76,53 +74,23 @@ class DeltaGraph {
 
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
 
-  [[nodiscard]] std::size_t degree(NodeId u) const;
-
-  /// Visits the neighbors of \p u in ascending id order — the same
-  /// sequence a rebuilt CSR would yield. Untouched nodes iterate the
-  /// base span directly (no merge, no hash lookup).
-  template <class F>
-  void for_each_neighbor(NodeId u, F&& f) const {
-    check_node(u);
-    std::span<const NodeId> base{};
-    if (u < base_nodes_) base = base_.neighbors(u);
-    if (!touched_[u]) {
-      for (const NodeId v : base) f(v);
-      return;
-    }
-    const Overlay& ov = overlay_.find(u)->second;
-    std::size_t bi = 0;
-    std::size_t ai = 0;
-    std::size_t ri = 0;
-    while (true) {
-      while (bi < base.size()) {
-        while (ri < ov.removed.size() && ov.removed[ri] < base[bi]) ++ri;
-        if (ri < ov.removed.size() && ov.removed[ri] == base[bi]) {
-          ++bi;
-          ++ri;
-          continue;
-        }
-        break;
-      }
-      const bool has_b = bi < base.size();
-      const bool has_a = ai < ov.added.size();
-      if (!has_b && !has_a) break;
-      // added is disjoint from base \ removed, so no equal case exists.
-      if (has_b && (!has_a || base[bi] < ov.added[ai])) {
-        f(base[bi]);
-        ++bi;
-      } else {
-        f(ov.added[ai]);
-        ++ai;
-      }
-    }
+  [[nodiscard]] std::size_t degree(NodeId u) const {
+    return neighbors(u).size();
   }
 
-  /// Neighbors of \p u as a sorted vector (test/debug convenience).
-  [[nodiscard]] std::vector<NodeId> neighbors_copy(NodeId u) const;
+  /// The neighbors of \p u in ascending id order — the row a rebuilt CSR
+  /// would hold. Valid until the next edit of \p u or compact(). Throws
+  /// std::invalid_argument if \p u is out of range.
+  [[nodiscard]] std::span<const NodeId> neighbors(NodeId u) const {
+    check_node(u);
+    if (slot_[u] != kUntouched) return rows_[slot_[u]];
+    if (u < base_nodes_) return base_.neighbors(u);
+    return {};
+  }
 
-  /// Directed overlay entries currently held (added + removed, both
-  /// directions of every undirected edge counted).
+  /// Directed edits that differ from the base (both directions of every
+  /// undirected edge counted; an edit that restores the base cancels
+  /// one).
   [[nodiscard]] std::size_t overlay_edits() const noexcept {
     return overlay_edits_;
   }
@@ -130,8 +98,8 @@ class DeltaGraph {
   /// True when the overlay exceeds the compaction threshold.
   [[nodiscard]] bool compaction_due() const noexcept;
 
-  /// Rebuilds base ∪ overlay into a fresh CSR snapshot and clears
-  /// the overlay. O(n + m).
+  /// Rebuilds the current rows into a fresh CSR snapshot and drops the
+  /// patched rows. O(n + m).
   void compact();
 
   /// Number of compactions performed so far.
@@ -146,21 +114,17 @@ class DeltaGraph {
   [[nodiscard]] const Graph& base() const noexcept { return base_; }
 
  private:
-  struct Overlay {
-    std::vector<NodeId> added;    ///< sorted, disjoint from base adjacency
-    std::vector<NodeId> removed;  ///< sorted, subset of base adjacency
-  };
+  static constexpr std::uint32_t kUntouched = 0xffffffffu;
 
   void check_node(NodeId u) const;
   [[nodiscard]] bool base_has(NodeId u, NodeId v) const;
-  Overlay& overlay_for(NodeId u);
-  /// Adds/removes one direction of an edge; returns the edit delta
-  /// (+1: overlay grew, -1: an overlay entry cancelled out).
+  /// Inserts (\p add) or erases v in u's patched row, copying the base
+  /// row on first touch; returns the overlay_edits() change.
   int apply_half(NodeId u, NodeId v, bool add);
 
   Graph base_;  ///< CSR snapshot
-  std::unordered_map<NodeId, Overlay> overlay_;
-  std::vector<std::uint8_t> touched_;  ///< [u] != 0 ⇔ overlay_ has u
+  std::vector<std::uint32_t> slot_;  ///< [u]: index into rows_ or kUntouched
+  std::vector<std::vector<NodeId>> rows_;  ///< patched rows, sorted
   std::size_t n_ = 0;
   std::size_t base_nodes_ = 0;
   std::size_t num_edges_ = 0;

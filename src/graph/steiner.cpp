@@ -1,11 +1,10 @@
 #include "graph/steiner.hpp"
 
-#include <limits>
-#include <queue>
+#include <cstdint>
 #include <stdexcept>
 
-#include "graph/subgraph.hpp"
 #include "graph/traversal.hpp"
+#include "graph/union_find.hpp"
 
 namespace mcds::graph {
 
@@ -15,48 +14,63 @@ std::vector<NodeId> shortest_path_augment(
     throw std::invalid_argument("shortest_path_augment: empty seeds");
   }
   const std::size_t n = g.num_nodes();
-  std::vector<bool> member(n, false);
-  std::vector<NodeId> members = seeds;
+  // Member components live in one union-find across merges: admitting a
+  // node unites it with every member neighbor, so each merge costs its
+  // search, not a relabelling of G[members].
+  UnionFind uf(n);
+  std::vector<std::uint8_t> member(n, 0);
+  std::vector<NodeId> members;
+  members.reserve(seeds.size());
+  std::size_t q = 0;  // member components
+  const auto admit = [&](NodeId w) {
+    member[w] = 1;
+    members.push_back(w);
+    ++q;
+    for (const NodeId v : g.neighbors(w)) {
+      if (member[v] && uf.unite(w, v)) --q;
+    }
+  };
   for (const NodeId v : seeds) {
     if (v >= n) {
       throw std::invalid_argument("shortest_path_augment: bad seed");
     }
-    member[v] = true;
+    if (member[v]) {
+      throw std::invalid_argument("shortest_path_augment: duplicate seed");
+    }
+    admit(v);
   }
 
+  // Per-call scratch: BFS marks stamped per merge, parents valid at the
+  // non-members marked this merge, one queue.
+  std::vector<std::uint32_t> visited(n, 0);
+  std::vector<NodeId> parent(n, kNoNode);
+  std::vector<NodeId> queue;
   std::vector<NodeId> connectors;
-  constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
-  while (true) {
-    const auto [labels, q] = subset_components(g, members);
-    if (q <= 1) break;
-    std::vector<std::uint32_t> comp(n, kUnset);
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      comp[members[i]] = labels[i];
-    }
-
-    // Multi-source BFS from component 0 until another component is hit.
-    std::vector<NodeId> parent(n, kNoNode);
-    std::vector<bool> visited(n, false);
-    std::queue<NodeId> queue;
+  for (std::uint32_t stamp = 1; q > 1; ++stamp) {
+    // Multi-source BFS from the first seed's component, in member order,
+    // until another component is hit.
+    const std::uint32_t home = uf.find(members.front());
+    queue.clear();
     for (const NodeId v : members) {
-      if (comp[v] == 0) {
-        visited[v] = true;
-        queue.push(v);
+      if (uf.find(v) == home) {
+        visited[v] = stamp;
+        queue.push_back(v);
       }
     }
     NodeId hit = kNoNode;
-    while (!queue.empty() && hit == kNoNode) {
-      const NodeId u = queue.front();
-      queue.pop();
+    for (std::size_t head = 0; head < queue.size() && hit == kNoNode;
+         ++head) {
+      const NodeId u = queue[head];
       for (const NodeId v : g.neighbors(u)) {
-        if (visited[v]) continue;
-        visited[v] = true;
+        if (visited[v] == stamp) continue;
+        visited[v] = stamp;
         parent[v] = u;
-        if (comp[v] != kUnset && comp[v] != 0) {
+        // Every member of the home component is marked already.
+        if (member[v]) {
           hit = v;
           break;
         }
-        queue.push(v);
+        queue.push_back(v);
       }
     }
     if (hit == kNoNode) {
@@ -66,8 +80,7 @@ std::vector<NodeId> shortest_path_augment(
     // Add the interior nodes of the found path as connectors.
     for (NodeId v = parent[hit]; v != kNoNode && !member[v];
          v = parent[v]) {
-      member[v] = true;
-      members.push_back(v);
+      admit(v);
       connectors.push_back(v);
     }
   }

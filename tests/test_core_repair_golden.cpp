@@ -8,7 +8,9 @@
 //    sparse fields' arbitrary-maximal MIS leaves member fragments exactly
 //    3 hops apart, so phase 2 stalls and the 3-hop patch runs; two fields
 //    split into several topology components that each hold >= 2 MIS
-//    members.
+//    members. Five longer streams in the shape of the `perfbench` churn
+//    workload (jittered moves, crashes, revivals) pin every event's
+//    report on supercritical, fragmented and rebuild-prone fields.
 //  * core::repair_cds on jittered UDGs carrying a stale backbone, some
 //    of them far enough apart that no single node merges two fragments
 //    and the shortest-path fallback runs, one of them split by the
@@ -24,8 +26,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -234,6 +238,186 @@ TEST(RepairGolden, LocalBackboneAfterChurn) {
     const BackboneRow got = observe(s.name, e, trajectory.value());
     EXPECT_EQ(got, want[i]) << "observed:\n" << format(got);
   }
+}
+
+// Streams in the shape of the `perfbench` churn workload and
+// `mcds_cli dynamic`: pick a node uniformly; revive a dead one at a
+// uniform position; crash an alive one with p = 0.1, else move it by at
+// most 0.5 per axis, clamped to the field.
+struct JitterSpec {
+  const char* name;
+  std::size_t nodes;
+  double density;  ///< side = density * sqrt(nodes)
+  std::uint64_t seed;
+  double envelope_factor;  ///< the default 4 unless rebuilds should fire
+  std::size_t envelope_bias;
+  std::size_t parent_scope;  ///< summed repair.scope before the early exit
+};
+
+// One jitter stream: final sizes, rebuilds and compactions, digests of
+// the final MIS and backbone, and a digest of every event's report
+// (repair.scope aside) with the sizes after it.
+struct JitterRow {
+  const char* name;
+  std::size_t mis;
+  std::size_t cds;
+  std::size_t rebuilds;
+  std::size_t compactions;
+  std::uint64_t mis_digest;
+  std::uint64_t cds_digest;
+  std::uint64_t trajectory;
+
+  bool operator==(const JitterRow&) const = default;
+};
+
+std::string format(const JitterRow& r, std::size_t scope) {
+  std::ostringstream os;
+  os << "{\"" << r.name << "\", " << r.mis << ", " << r.cds << ", "
+     << r.rebuilds << ", " << r.compactions << ", 0x" << std::hex
+     << r.mis_digest << ", 0x" << r.cds_digest << ", 0x" << r.trajectory
+     << std::dec << "}, scope " << scope;
+  return os.str();
+}
+
+// True when the event that turned the backbone \p before into e.cds()
+// added exactly one connector pair, a 2-node bridge: two adjacent new
+// connectors, each touching exactly one fragment of the backbone they
+// joined, and not the same one. Two 1-node bridges never pass: the first
+// of them joins its complete fragment to a backbone node outside it, so
+// it touches two fragments.
+bool added_two_node_bridge(const DynamicCds& e,
+                           const std::vector<NodeId>& before) {
+  std::vector<NodeId> fresh;
+  std::set_difference(e.cds().begin(), e.cds().end(), before.begin(),
+                      before.end(), std::back_inserter(fresh));
+  const std::vector<NodeId> mis = e.mis();
+  std::erase_if(fresh, [&](NodeId v) {
+    return std::binary_search(mis.begin(), mis.end(), v);
+  });
+  if (fresh.size() != 2) return false;
+  const Graph g = e.topology();
+  if (!g.has_edge(fresh[0], fresh[1])) return false;
+  std::vector<NodeId> rest;
+  for (const NodeId v : e.cds()) {
+    if (v != fresh[0] && v != fresh[1]) rest.push_back(v);
+  }
+  const auto [label, count] = mcds::graph::subset_components(g, rest);
+  std::vector<std::uint32_t> fragment(g.num_nodes(), 0);
+  for (std::size_t i = 0; i < rest.size(); ++i) fragment[rest[i]] = label[i] + 1;
+  std::uint32_t touched[2] = {0, 0};
+  for (std::size_t k = 0; k < 2; ++k) {
+    for (const NodeId v : g.neighbors(fresh[k])) {
+      if (fragment[v] == 0) continue;
+      if (touched[k] != 0 && touched[k] != fragment[v]) return false;
+      touched[k] = fragment[v];
+    }
+  }
+  return touched[0] != 0 && touched[1] != 0 && touched[0] != touched[1];
+}
+
+TEST(RepairGolden, LocalBackboneJitterStreams) {
+  constexpr int kEvents = 5000;
+  const JitterSpec specs[] = {
+      {"jitter-2000", 2000, 0.55, 11, 4.0, 12, 331151},
+      {"jitter-5000", 5000, 0.55, 12, 4.0, 12, 542608},
+      {"jitter-10000", 10000, 0.55, 13, 4.0, 12, 1028290},
+      {"fragmented-3000", 3000, 0.85, 14, 4.0, 12, 109534},
+      {"rebuild-2000", 2000, 0.55, 15, 2.2, 0, 354454},
+  };
+  const JitterRow want[] = {
+      {"jitter-2000", 314, 943, 0, 10, 0x61d58b70985d0452, 0xff9643637c1647c5,
+       0x67cd735e5a48301d},
+      {"jitter-5000", 798, 1997, 0, 3, 0x8419d154a298a58d, 0x9eac919102a45bcf,
+       0x8bdaf9bede6d5552},
+      {"jitter-10000", 1589, 3544, 0, 1, 0xd9e05361ca30d351,
+       0xd4a4d35448c930c8, 0xa6cf3f4c3720d38d},
+      {"fragmented-3000", 905, 2334, 0, 6, 0x2804d1b1b02b76a7,
+       0x558b94255dfc7e64, 0x8366a6967b9b3ff1},
+      {"rebuild-2000", 324, 701, 5, 10, 0xa2e69a1c33b5d180, 0xb28e14070dcf6516,
+       0x676310edd769a4d8},
+  };
+  std::size_t bridged = 0;
+  std::size_t one_connector = 0;  // a lone connector is a 1-node bridge
+  std::size_t two_node_bridges = 0;
+  std::size_t islands = 0;
+  std::size_t compactions = 0;
+  std::size_t rebuilds = 0;
+  for (std::size_t i = 0; i < std::size(specs); ++i) {
+    const JitterSpec& s = specs[i];
+    const double side = s.density * std::sqrt(static_cast<double>(s.nodes));
+    DynParams params;
+    params.envelope_factor = s.envelope_factor;
+    params.envelope_bias = s.envelope_bias;
+    DynamicCds e(field(s.nodes, side, s.seed), params);
+    mcds::sim::Rng rng(s.seed * 7717 + 3);
+    const auto clamp = [side](double x) { return std::clamp(x, 0.0, side); };
+    Fnv1a trajectory;
+    std::size_t scope = 0;
+    bool pair_seen = false;
+    std::vector<NodeId> before;
+    for (int step = 0; step < kEvents; ++step) {
+      const auto v = static_cast<NodeId>(rng.uniform_int(e.num_nodes()));
+      const bool was_alive = e.alive(v);
+      const bool crashes = was_alive && rng.uniform01() < 0.1;
+      const Vec2 here = e.position(v);
+      const Vec2 to = was_alive ? Vec2{clamp(here.x + rng.uniform(-0.5, 0.5)),
+                                       clamp(here.y + rng.uniform(-0.5, 0.5))}
+                                : Vec2{rng.uniform(0.0, side),
+                                       rng.uniform(0.0, side)};
+      if (!pair_seen) before = e.cds();
+      const mcds::dyn::EventReport r =
+          !was_alive ? e.revive(v, to) : (crashes ? e.erase(v) : e.move(v, to));
+      trajectory.add(r.edges_added);
+      trajectory.add(r.edges_removed);
+      trajectory.add(static_cast<int>(r.rebuilt));
+      trajectory.add(static_cast<int>(r.compacted));
+      trajectory.add(r.epoch);
+      trajectory.add(r.repair.mis_added);
+      trajectory.add(r.repair.mis_removed);
+      trajectory.add(r.repair.connectors_added);
+      trajectory.add(r.repair.backbone_removed);
+      trajectory.add(r.repair.islands);
+      trajectory.add(e.cds_size());
+      trajectory.add(e.mis_size());
+      scope += r.repair.scope;
+      bridged += r.repair.connectors_added != 0 ? 1 : 0;
+      one_connector += r.repair.connectors_added == 1 ? 1 : 0;
+      islands += r.repair.islands;
+      if (!pair_seen && !r.rebuilt && r.repair.connectors_added == 2 &&
+          added_two_node_bridge(e, before)) {
+        pair_seen = true;
+        ++two_node_bridges;
+      }
+      if ((step + 1) % 1000 == 0) {
+        ASSERT_TRUE(e.check().ok) << s.name;
+      }
+    }
+    ASSERT_TRUE(e.check().ok) << s.name;
+    compactions += e.compactions();
+    rebuilds += e.rebuilds();
+    const JitterRow got{s.name,
+                        e.mis_size(),
+                        e.cds_size(),
+                        e.rebuilds(),
+                        e.compactions(),
+                        digest(e.mis()),
+                        digest(e.cds()),
+                        trajectory.value()};
+    EXPECT_EQ(got, want[i]) << "observed:\n" << format(got, scope);
+    // The early exit only skips searches that would change nothing, so
+    // no stream explores more than before; on a supercritical field
+    // every stream has such searches to skip.
+    EXPECT_LE(scope, s.parent_scope) << format(got, scope);
+    if (s.density < 0.8) {
+      EXPECT_LT(scope, s.parent_scope) << format(got, scope);
+    }
+  }
+  EXPECT_GE(bridged, 1u);
+  EXPECT_GE(one_connector, 1u);
+  EXPECT_GE(two_node_bridges, 1u);
+  EXPECT_GE(islands, 1u);
+  EXPECT_GE(compactions, 1u);
+  EXPECT_GE(rebuilds, 1u);
 }
 
 // ---------------------------------------------------------------------

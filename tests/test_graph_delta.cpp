@@ -1,8 +1,8 @@
 // DeltaGraph: the mutable overlay over an immutable CSR base. The
 // contract under test is differential — after any interleaving of edge
-// flips, iteration must present exactly the adjacency a from-scratch
-// Graph holds, in the same (ascending) order, and the edit
-// accounting must reach zero when flips cancel.
+// flips, neighbors() must present exactly the adjacency a from-scratch
+// Graph holds, in the same (ascending) order, and the edit accounting
+// must count the edges that differ from the last compacted base.
 
 #include <gtest/gtest.h>
 
@@ -33,13 +33,14 @@ void expect_matches(const DeltaGraph& dg, const Graph& oracle) {
   ASSERT_EQ(dg.num_edges(), oracle.num_edges());
   for (NodeId u = 0; u < dg.num_nodes(); ++u) {
     EXPECT_EQ(dg.degree(u), oracle.degree(u)) << "node " << u;
-    std::vector<NodeId> seen;
-    dg.for_each_neighbor(u, [&](NodeId v) { seen.push_back(v); });
+    const auto seen = dg.neighbors(u);
     const auto row = oracle.neighbors(u);
-    EXPECT_EQ(seen, std::vector<NodeId>(row.begin(), row.end()))
+    EXPECT_EQ(std::vector<NodeId>(seen.begin(), seen.end()),
+              std::vector<NodeId>(row.begin(), row.end()))
         << "node " << u;
-    EXPECT_EQ(dg.neighbors_copy(u), seen) << "node " << u;
   }
+  EXPECT_THROW((void)dg.neighbors(static_cast<NodeId>(dg.num_nodes())),
+               std::invalid_argument);
   EXPECT_TRUE(mcds::test::same_csr(dg.materialize(), oracle));
 }
 
@@ -134,15 +135,32 @@ TEST(DynDeltaGraph, RandomizedDifferential) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const auto inst =
         mcds::udg::generate_instance({.nodes = 60, .side = 8.0}, seed);
-    DeltaGraph dg(inst.graph);
-    // Track the live edge set alongside and flip random pairs.
-    std::vector<std::vector<char>> has(
-        inst.graph.num_nodes(), std::vector<char>(inst.graph.num_nodes(), 0));
+    // A low edit floor so the flips compact several times.
+    DeltaGraph dg(inst.graph, /*compact_fraction=*/0.25,
+                  /*compact_min_edits=*/64);
+    // Four appended ids join the flips from the start.
+    for (int i = 0; i < 4; ++i) dg.add_node();
+    const std::size_t n = dg.num_nodes();
+    // Track the live edge set alongside, and the set at the last
+    // compaction: overlay_edits() counts both directions of every edge
+    // in their symmetric difference.
+    std::vector<std::vector<char>> has(n, std::vector<char>(n, 0));
     for (const auto& [u, v] : inst.graph.edges()) has[u][v] = has[v][u] = 1;
+    auto base = has;
+    const auto oracle = [&] {
+      mcds::test::Edges edges;
+      for (NodeId u = 0; u < n; ++u) {
+        for (NodeId v = u + 1; v < n; ++v) {
+          if (has[u][v]) edges.emplace_back(u, v);
+        }
+      }
+      return Graph(n, edges);
+    };
     mcds::sim::Rng rng(seed * 977 + 13);
+    std::size_t flips = 0;
     for (int step = 0; step < 400; ++step) {
-      const auto u = static_cast<NodeId>(rng.uniform_int(dg.num_nodes()));
-      const auto v = static_cast<NodeId>(rng.uniform_int(dg.num_nodes()));
+      const auto u = static_cast<NodeId>(rng.uniform_int(n));
+      const auto v = static_cast<NodeId>(rng.uniform_int(n));
       if (u == v) continue;
       if (has[u][v]) {
         dg.remove_edge(u, v);
@@ -151,15 +169,27 @@ TEST(DynDeltaGraph, RandomizedDifferential) {
         dg.add_edge(u, v);
         has[u][v] = has[v][u] = 1;
       }
-      if (dg.compaction_due()) dg.compact();
-    }
-    mcds::test::Edges edges;
-    for (NodeId u = 0; u < dg.num_nodes(); ++u) {
-      for (NodeId v = u + 1; v < dg.num_nodes(); ++v) {
-        if (has[u][v]) edges.emplace_back(u, v);
+      ++flips;
+      if (dg.compaction_due()) {
+        dg.compact();
+        base = has;
       }
+      for (const NodeId w : {u, v}) {
+        std::size_t deg = 0;
+        for (NodeId x = 0; x < n; ++x) deg += has[w][x] ? 1 : 0;
+        EXPECT_EQ(dg.degree(w), deg) << "node " << w << " step " << step;
+      }
+      EXPECT_EQ(dg.has_edge(u, v), has[u][v] != 0) << "step " << step;
+      EXPECT_EQ(dg.has_edge(v, u), has[u][v] != 0) << "step " << step;
+      std::size_t differ = 0;
+      for (NodeId a = 0; a < n; ++a) {
+        for (NodeId b = a + 1; b < n; ++b) differ += has[a][b] != base[a][b];
+      }
+      EXPECT_EQ(dg.overlay_edits(), 2 * differ) << "step " << step;
+      if (flips % 50 == 0) expect_matches(dg, oracle());
     }
-    expect_matches(dg, Graph(dg.num_nodes(), edges));
+    EXPECT_GE(dg.compactions(), 2u);
+    expect_matches(dg, oracle());
   }
 }
 
