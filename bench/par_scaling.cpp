@@ -1,6 +1,6 @@
 // Experiment E25: batch-solve thread scaling. Solves one fixed corpus
 // of UDG instances with the Section IV greedy at 1/2/4/8 workers and
-// prints throughput, speedup and pool counters per worker count.
+// prints throughput and speedup per worker count.
 //
 // The *checked* invariant is determinism, not speed: every outcome and
 // every aggregate at T > 1 workers must be bit-identical to the
@@ -16,8 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "par/batch_solver.hpp"
 #include "par/thread_pool.hpp"
 #include "udg/instance.hpp"
@@ -55,17 +53,14 @@ int main(int argc, char** argv) {
   std::printf("E25: batch-solve thread scaling\n");
   std::printf("corpus: %zu instances, %zu nodes each; host cores: %u\n\n",
               corpus.size(), nodes, std::thread::hardware_concurrency());
-  std::printf("%8s %12s %14s %9s %8s %10s\n", "threads", "wall_s",
-              "inst_per_s", "speedup", "steals", "mean_cds");
+  std::printf("%8s %12s %14s %9s %10s\n", "threads", "wall_s",
+              "inst_per_s", "speedup", "mean_cds");
 
   par::BatchResult baseline;
   bool ok = true;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     par::ThreadPool pool(threads);
-    obs::MetricsRegistry registry;
-    obs::Obs o;
-    o.metrics = &registry;
-    const par::BatchSolver solver(pool, o);
+    const par::BatchSolver solver(pool);
     const auto result = solver.solve(corpus, par::solve_greedy);
     if (threads == 1) {
       baseline = result;
@@ -78,11 +73,10 @@ int main(int argc, char** argv) {
         baseline.wall_seconds > 0.0 && result.wall_seconds > 0.0
             ? baseline.wall_seconds / result.wall_seconds
             : 1.0;
-    std::printf("%8zu %12.4f %14.1f %8.2fx %8.0f %10.2f\n", threads,
+    std::printf("%8zu %12.4f %14.1f %8.2fx %10.2f\n", threads,
                 result.wall_seconds,
                 static_cast<double>(corpus.size()) / result.wall_seconds,
-                speedup, registry.gauge("par.pool.steals").value(),
-                result.cds_size.mean);
+                speedup, result.cds_size.mean);
   }
   std::printf("\ndeterminism across thread counts: %s\n",
               ok ? "OK (bit-identical)" : "VIOLATED");

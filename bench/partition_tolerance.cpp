@@ -204,7 +204,7 @@ int main() {
       }
 
       // The heal: merge both islands' epoch-stamped views.
-      std::vector<dist::BackboneView> views;
+      std::vector<core::BackboneView> views;
       for (const auto& rep : replicas) views.push_back(rep->view());
       const auto report = master.reconcile(views, up);
       const auto audit = audit_backbone(g, up, master.cds());

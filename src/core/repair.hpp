@@ -32,6 +32,18 @@ struct RepairResult {
   std::size_t dropped = 0;  ///< old backbone nodes discarded
 };
 
+/// One replica's epoch-stamped claim about the backbone: which nodes it
+/// speaks for (its island) and which of them it currently keeps in the
+/// CDS. dist::SelfHealingCds::reconcile() merges these per node: among
+/// all views whose island contains the node, the one with the highest
+/// epoch decides its membership (ties resolved towards the later view in
+/// the argument order, matching "last writer wins" of equal clocks).
+struct BackboneView {
+  std::vector<NodeId> island;  ///< nodes this view speaks for, ascending
+  std::vector<NodeId> cds;     ///< backbone members among them, ascending
+  std::size_t epoch = 0;
+};
+
 /// Repairs \p old_cds against the (changed) topology \p g, which may be
 /// disconnected: the result is a CDS of each connected component (the
 /// forest check_cds_components certifies). Entries of old_cds that are

@@ -48,7 +48,7 @@ Shortfall first_under_covered(const graph::FrozenGraph& fg,
   };
   // Chunks are a pure function of n, and the merged witness is the
   // minimum over per-chunk minima, so the answer is identical at any
-  // worker count. ~8 chunks per worker keeps the stealer fed on skewed
+  // worker count. ~8 chunks per worker keeps every worker busy on skewed
   // degree distributions without drowning in task overhead.
   const std::size_t workers = pool ? pool->size() : 1;
   const std::size_t grain =

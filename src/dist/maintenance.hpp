@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "core/repair.hpp"
 #include "core/validate.hpp"
 #include "dist/runtime.hpp"
 
@@ -46,7 +47,8 @@ enum class HealAction {
 /// it) from "the healer gave up on a populated scope" (it cannot).
 struct DegradedReport {
   /// Epoch of the last pass that left a non-empty in-scope backbone —
-  /// the newest BackboneView worth replaying when the scope repopulates.
+  /// the newest core::BackboneView worth replaying when the scope
+  /// repopulates.
   std::size_t last_good_epoch = 0;
   /// In-scope backbone size at that epoch.
   std::size_t last_good_members = 0;
@@ -66,18 +68,6 @@ struct HealReport {
   std::size_t epoch = 0;      ///< replica epoch after this pass
   RunStats stats;             ///< distributed cost (kRebuilt only)
   DegradedReport degraded;    ///< kUnhealable only (zeroed otherwise)
-};
-
-/// One replica's epoch-stamped claim about the backbone: which nodes it
-/// speaks for (its island) and which of them it currently keeps in the
-/// CDS. The merge rule of reconcile() is per node: among all views whose
-/// island contains the node, the one with the highest epoch decides its
-/// membership (ties resolved towards the later view in the argument
-/// order, matching "last writer wins" of equal clocks).
-struct BackboneView {
-  std::vector<NodeId> island;  ///< nodes this view speaks for, ascending
-  std::vector<NodeId> cds;     ///< backbone members among them, ascending
-  std::size_t epoch = 0;
 };
 
 /// Maintains one backbone across a sequence of churn events.
@@ -106,7 +96,7 @@ class SelfHealingCds {
 
   /// This replica's epoch-stamped view of its island (of the whole
   /// graph when no island is set).
-  [[nodiscard]] BackboneView view() const;
+  [[nodiscard]] core::BackboneView view() const;
 
   /// Cross-island reconciliation after a partition heal: merges the
   /// replicas' views under the highest-epoch-wins rule (nodes no view
@@ -115,7 +105,7 @@ class SelfHealingCds {
   /// regluing the union, never rebuilding, since every island
   /// contributes its full maintained fragment. The replica's epoch
   /// advances past every merged view's.
-  HealReport reconcile(const std::vector<BackboneView>& views,
+  HealReport reconcile(const std::vector<core::BackboneView>& views,
                        const std::vector<bool>& up);
 
   /// Heal passes that changed this replica's backbone.
@@ -125,7 +115,7 @@ class SelfHealingCds {
   /// non-empty — what a degraded (kUnhealable) replica is coasting on,
   /// and the state worth replaying once its scope repopulates. Empty
   /// island/cds at epoch 0 if no pass ever had a backbone.
-  [[nodiscard]] const BackboneView& last_good_view() const noexcept {
+  [[nodiscard]] const core::BackboneView& last_good_view() const noexcept {
     return last_good_;
   }
 
@@ -145,7 +135,7 @@ class SelfHealingCds {
   std::vector<NodeId> island_;
   std::size_t epoch_ = 0;
   /// Degraded-mode bookkeeping (see last_good_view()).
-  BackboneView last_good_;
+  core::BackboneView last_good_;
   std::size_t consecutive_unhealable_ = 0;
   obs::Obs obs_;
   /// Pre-resolved per-action counters, indexed by HealAction; nullptr

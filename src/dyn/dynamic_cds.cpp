@@ -114,8 +114,8 @@ core::CdsCheck DynamicCds::check() const {
   return core::check_cds_components(induced.graph, local_cds);
 }
 
-dist::BackboneView DynamicCds::view() const {
-  dist::BackboneView v;
+core::BackboneView DynamicCds::view() const {
+  core::BackboneView v;
   v.island = grid_.alive_nodes();
   v.cds = backbone_.cds();
   v.epoch = epoch_;

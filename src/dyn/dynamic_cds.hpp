@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "core/local_repair.hpp"
+#include "core/repair.hpp"
 #include "core/validate.hpp"
-#include "dist/maintenance.hpp"
 #include "geom/vec2.hpp"
 #include "graph/delta_graph.hpp"
 #include "graph/graph.hpp"
@@ -31,7 +31,7 @@
 /// when the DeltaGraph overlay outgrows its threshold it is compacted
 /// into a fresh CSR. Epochs bump whenever the backbone changes, so
 /// view() hands dist::SelfHealingCds::reconcile() an epoch-stamped
-/// BackboneView that merges like any partition replica's.
+/// core::BackboneView that merges like any partition replica's.
 
 namespace mcds::dyn {
 
@@ -130,7 +130,7 @@ class DynamicCds {
 
   /// This engine's epoch-stamped claim over the nodes it speaks for
   /// (the alive set), mergeable by dist::SelfHealingCds::reconcile().
-  [[nodiscard]] dist::BackboneView view() const;
+  [[nodiscard]] core::BackboneView view() const;
 
   /// Envelope-triggered connector rebuilds so far.
   [[nodiscard]] std::size_t rebuilds() const noexcept { return rebuilds_; }

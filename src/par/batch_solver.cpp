@@ -13,8 +13,8 @@ BatchResult BatchSolver::solve(std::span<const udg::UdgInstance> corpus,
   BatchResult r;
   r.outcomes.resize(corpus.size());
   // One task per instance: instance solves dominate task overhead by
-  // orders of magnitude, and per-instance granularity gives the stealer
-  // the most slack on skewed corpora.
+  // orders of magnitude, and per-instance granularity lets a free worker
+  // take the next instance on skewed corpora.
   parallel_for(pool_, corpus.size(), 1,
                [&corpus, &r, &solver](std::size_t begin, std::size_t end,
                                       std::size_t /*chunk*/) {

@@ -16,14 +16,10 @@ std::size_t ThreadPool::default_threads() {
   return hw == 0 ? 1 : hw;  // hardware_concurrency() may report 0
 }
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = default_threads();
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+ThreadPool::ThreadPool(std::size_t threads)
+    : busy_ns_(threads == 0 ? default_threads() : threads) {
+  threads_.reserve(busy_ns_.size());
+  for (std::size_t i = 0; i < busy_ns_.size(); ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
   }
 }
@@ -40,8 +36,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    workers_[next_queue_]->queue.push_back(std::move(task));
-    next_queue_ = (next_queue_ + 1) % workers_.size();
+    queue_.push_back(std::move(task));
     ++pending_;
     if (pending_ > peak_pending_) peak_pending_ = pending_;
   }
@@ -59,33 +54,12 @@ void ThreadPool::wait_idle() {
   }
 }
 
-bool ThreadPool::try_pop(std::size_t self, std::function<void()>& out) {
-  // Caller holds mu_. Own queue first (FIFO keeps early-submitted work
-  // early), then scan siblings from self+1 and steal from their backs.
-  auto& own = workers_[self]->queue;
-  if (!own.empty()) {
-    out = std::move(own.front());
-    own.pop_front();
-    return true;
-  }
-  const std::size_t k = workers_.size();
-  for (std::size_t d = 1; d < k; ++d) {
-    auto& victim = workers_[(self + d) % k]->queue;
-    if (!victim.empty()) {
-      out = std::move(victim.back());
-      victim.pop_back();
-      stolen_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
 void ThreadPool::worker_loop(std::size_t self) {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    std::function<void()> task;
-    if (try_pop(self, task)) {
+    if (!queue_.empty()) {
+      std::function<void()> task = std::move(queue_.front());
+      queue_.pop_front();
       lock.unlock();
       const auto start = std::chrono::steady_clock::now();
       try {
@@ -97,8 +71,8 @@ void ThreadPool::worker_loop(std::size_t self) {
       const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::steady_clock::now() - start)
                           .count();
-      workers_[self]->busy_ns.fetch_add(static_cast<std::uint64_t>(ns),
-                                        std::memory_order_relaxed);
+      busy_ns_[self].fetch_add(static_cast<std::uint64_t>(ns),
+                               std::memory_order_relaxed);
       executed_.fetch_add(1, std::memory_order_relaxed);
       lock.lock();
       if (--pending_ == 0) cv_idle_.notify_all();
@@ -112,15 +86,14 @@ void ThreadPool::worker_loop(std::size_t self) {
 ThreadPool::Stats ThreadPool::stats() const {
   Stats s;
   s.executed = executed_.load(std::memory_order_relaxed);
-  s.stolen = stolen_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     s.pending = pending_;
     s.peak_pending = peak_pending_;
   }
-  s.busy_ns.reserve(workers_.size());
-  for (const auto& w : workers_) {
-    s.busy_ns.push_back(w->busy_ns.load(std::memory_order_relaxed));
+  s.busy_ns.reserve(busy_ns_.size());
+  for (const auto& ns : busy_ns_) {
+    s.busy_ns.push_back(ns.load(std::memory_order_relaxed));
   }
   return s;
 }
@@ -131,7 +104,6 @@ void ThreadPool::publish(obs::MetricsRegistry& registry) const {
   registry.gauge("par.pool.queue_depth").set(static_cast<double>(s.pending));
   registry.gauge("par.pool.peak_queue_depth")
       .set(static_cast<double>(s.peak_pending));
-  registry.gauge("par.pool.steals").set(static_cast<double>(s.stolen));
   registry.gauge("par.pool.executed").set(static_cast<double>(s.executed));
   for (std::size_t i = 0; i < s.busy_ns.size(); ++i) {
     registry.gauge("par.pool.worker" + std::to_string(i) + ".busy_ns")

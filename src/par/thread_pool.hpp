@@ -7,7 +7,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -15,17 +14,16 @@
 #include "obs/metrics.hpp"
 
 /// \file thread_pool.hpp
-/// A fixed-size work-stealing thread pool. Tasks are assigned to worker
-/// queues round-robin in submission order (deterministic placement); an
-/// idle worker first drains its own queue FIFO, then steals from the
-/// back of a sibling's queue. Determinism of *results* is the caller's
-/// contract: parallel_for and BatchSolver write every task's output to
-/// a slot indexed by the task's position, so aggregation order never
-/// depends on execution interleaving — the same inputs produce
+/// A fixed-size thread pool over one FIFO task queue: submit() appends
+/// to the back and the next free worker pops the front. Which worker
+/// runs a task is left to the scheduler. Determinism of *results* is the
+/// caller's contract: parallel_for and BatchSolver write every task's
+/// output to a slot indexed by the task's position, so aggregation order
+/// never depends on execution interleaving — the same inputs produce
 /// bit-identical outputs at any worker count.
 ///
 /// Instrumentation is exported on demand via publish(): pool queue
-/// depth, total executed/stolen task counts, and per-worker busy time
+/// depth, the executed task count, and per-worker busy time
 /// land in an obs::MetricsRegistry as "par.pool.*" gauges. The pool
 /// only touches the registry inside publish() (callers invoke it from
 /// one thread at a quiesce point); the hot-path counters are atomics.
@@ -45,12 +43,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Number of worker threads.
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
 
-  /// Enqueues \p task on the next worker queue (round-robin). Tasks
-  /// should not let exceptions escape; if one does, the first escaped
-  /// exception is rethrown by wait_idle() as a safety net (use
-  /// parallel_for for deterministic per-index exception reporting).
+  /// Appends \p task to the back of the queue. Tasks should not let
+  /// exceptions escape; if one does, the first escaped exception is
+  /// rethrown by wait_idle() as a safety net (use parallel_for for
+  /// deterministic per-index exception reporting).
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished, then rethrows the
@@ -60,7 +58,6 @@ class ThreadPool {
   /// Point-in-time pool statistics (read when quiescent for exactness).
   struct Stats {
     std::uint64_t executed = 0;           ///< tasks run to completion
-    std::uint64_t stolen = 0;             ///< tasks taken from a sibling
     std::size_t pending = 0;              ///< submitted, not yet finished
     std::size_t peak_pending = 0;         ///< high-water queue depth
     std::vector<std::uint64_t> busy_ns;   ///< per-worker task time
@@ -68,7 +65,7 @@ class ThreadPool {
   [[nodiscard]] Stats stats() const;
 
   /// Writes the stats as "par.pool.*" gauges: queue_depth,
-  /// peak_queue_depth, steals, executed, workers, and per-worker
+  /// peak_queue_depth, executed, workers, and per-worker
   /// worker<i>.busy_ns. Call from one thread, ideally when idle.
   void publish(obs::MetricsRegistry& registry) const;
 
@@ -77,27 +74,18 @@ class ThreadPool {
   [[nodiscard]] static std::size_t default_threads();
 
  private:
-  struct Worker {
-    std::deque<std::function<void()>> queue;
-    std::atomic<std::uint64_t> busy_ns{0};
-  };
-
   void worker_loop(std::size_t self);
-  /// Pops the next task: own queue front, else steal from a sibling's
-  /// back (scanning from self+1 so victims differ per worker).
-  bool try_pop(std::size_t self, std::function<void()>& out);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<std::atomic<std::uint64_t>> busy_ns_;  ///< per worker
   std::vector<std::thread> threads_;
-  mutable std::mutex mu_;            ///< guards queues + stop flag
+  mutable std::mutex mu_;            ///< guards queue_ + stop flag
   std::condition_variable cv_work_;  ///< task available or stopping
   std::condition_variable cv_idle_;  ///< pending_ hit zero
-  std::size_t next_queue_ = 0;       ///< round-robin submission cursor
+  std::deque<std::function<void()>> queue_;
   std::size_t pending_ = 0;
   std::size_t peak_pending_ = 0;
   bool stop_ = false;
   std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> stolen_{0};
   std::exception_ptr first_error_;  ///< guarded by mu_
 };
 

@@ -116,11 +116,6 @@ std::vector<NodeId> GridIndex::alive_nodes() const {
   return out;
 }
 
-NodeId GridIndex::insert(Vec2 p) {
-  EdgeDelta ignored;
-  return insert(p, ignored);
-}
-
 NodeId GridIndex::insert(Vec2 p, EdgeDelta& delta) {
   const auto id = static_cast<NodeId>(pos_.size());
   std::vector<NodeId> nbrs;
@@ -133,11 +128,6 @@ NodeId GridIndex::insert(Vec2 p, EdgeDelta& delta) {
   // and lexicographically sorted by x.
   for (const NodeId x : nbrs) delta.added.emplace_back(x, id);
   return id;
-}
-
-void GridIndex::erase(NodeId v) {
-  EdgeDelta ignored;
-  erase(v, ignored);
 }
 
 void GridIndex::erase(NodeId v, EdgeDelta& delta) {
@@ -153,11 +143,6 @@ void GridIndex::erase(NodeId v, EdgeDelta& delta) {
             delta.removed.end());
 }
 
-void GridIndex::revive(NodeId v, Vec2 p) {
-  EdgeDelta ignored;
-  revive(v, p, ignored);
-}
-
 void GridIndex::revive(NodeId v, Vec2 p, EdgeDelta& delta) {
   check_alive(v, false, "revive");
   pos_[v] = p;
@@ -169,11 +154,6 @@ void GridIndex::revive(NodeId v, Vec2 p, EdgeDelta& delta) {
   const std::size_t first = delta.added.size();
   for (const NodeId x : nbrs) delta.added.push_back(canonical(v, x));
   std::sort(delta.added.begin() + static_cast<long>(first), delta.added.end());
-}
-
-void GridIndex::move(NodeId v, Vec2 p) {
-  EdgeDelta ignored;
-  move(v, p, ignored);
 }
 
 void GridIndex::move(NodeId v, Vec2 p, EdgeDelta& delta) {

@@ -710,7 +710,7 @@ TEST(RepairGolden, SelfHealingPasses) {
         rec.record(replica->on_churn(up), *replica);
       }
     }
-    std::vector<mcds::dist::BackboneView> views;
+    std::vector<mcds::core::BackboneView> views;
     for (const auto& replica : replicas) views.push_back(replica->view());
     const HealReport r = master.reconcile(views, up);
     EXPECT_NE(r.action, HealAction::kUnhealable);

@@ -41,6 +41,7 @@
 
 namespace {
 
+using mcds::core::BackboneView;
 using mcds::graph::Graph;
 using mcds::graph::NodeId;
 using namespace mcds::dist;

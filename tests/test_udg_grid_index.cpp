@@ -74,10 +74,11 @@ TEST(DynGridIndex, BulkLoadMatchesBatchBuilder) {
 
 TEST(DynGridIndex, DeltasAreCanonicalAndSorted) {
   GridIndex gi(1.0);
+  EdgeDelta scratch;
+  gi.insert({0.0, 0.0}, scratch);
+  gi.insert({0.5, 0.0}, scratch);
+  gi.insert({0.5, 0.5}, scratch);
   EdgeDelta d;
-  gi.insert({0.0, 0.0});
-  gi.insert({0.5, 0.0});
-  gi.insert({0.5, 0.5});
   const NodeId v = gi.insert({0.25, 0.25}, d);
   EXPECT_EQ(v, 3u);
   EXPECT_TRUE(d.removed.empty());
@@ -91,9 +92,10 @@ TEST(DynGridIndex, DeltasAreCanonicalAndSorted) {
 
 TEST(DynGridIndex, MoveEmitsOnlyTheNetChange) {
   GridIndex gi(1.0);
-  gi.insert({0.0, 0.0});
-  gi.insert({0.9, 0.0});  // neighbor of 0
-  gi.insert({5.0, 0.0});  // far away
+  EdgeDelta scratch;
+  gi.insert({0.0, 0.0}, scratch);
+  gi.insert({0.9, 0.0}, scratch);  // neighbor of 0
+  gi.insert({5.0, 0.0}, scratch);  // far away
   EdgeDelta d;
   gi.move(0, {4.2, 0.0}, d);  // leaves 1's disk, enters 2's
   const std::vector<std::pair<NodeId, NodeId>> added{{0, 2}};
@@ -107,25 +109,27 @@ TEST(DynGridIndex, MoveEmitsOnlyTheNetChange) {
 
 TEST(DynGridIndex, LivenessErrors) {
   GridIndex gi(1.0);
-  const NodeId v = gi.insert({1.0, 1.0});
-  EXPECT_THROW(gi.revive(v, {0.0, 0.0}), std::invalid_argument);
-  gi.erase(v);
-  EXPECT_THROW(gi.erase(v), std::invalid_argument);
-  EXPECT_THROW(gi.move(v, {0.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(gi.move(9, {0.0, 0.0}), std::invalid_argument);
-  gi.revive(v, {2.0, 2.0});
+  EdgeDelta d;
+  const NodeId v = gi.insert({1.0, 1.0}, d);
+  EXPECT_THROW(gi.revive(v, {0.0, 0.0}, d), std::invalid_argument);
+  gi.erase(v, d);
+  EXPECT_THROW(gi.erase(v, d), std::invalid_argument);
+  EXPECT_THROW(gi.move(v, {0.0, 0.0}, d), std::invalid_argument);
+  EXPECT_THROW(gi.move(9, {0.0, 0.0}, d), std::invalid_argument);
+  gi.revive(v, {2.0, 2.0}, d);
   EXPECT_TRUE(gi.alive(v));
   EXPECT_EQ(gi.position(v).x, 2.0);
 }
 
 TEST(DynGridIndex, EmptyCellsAreReclaimed) {
   GridIndex gi(1.0);
-  gi.insert({0.5, 0.5});
-  gi.insert({7.5, 7.5});
+  EdgeDelta d;
+  gi.insert({0.5, 0.5}, d);
+  gi.insert({7.5, 7.5}, d);
   EXPECT_EQ(gi.occupied_cells(), 2u);
-  gi.erase(1);
+  gi.erase(1, d);
   EXPECT_EQ(gi.occupied_cells(), 1u);
-  gi.erase(0);
+  gi.erase(0, d);
   EXPECT_EQ(gi.occupied_cells(), 0u);
   EXPECT_EQ(gi.size(), 2u);  // ids survive death
   EXPECT_EQ(gi.alive_count(), 0u);
@@ -133,16 +137,17 @@ TEST(DynGridIndex, EmptyCellsAreReclaimed) {
 
 TEST(DynGridIndex, NeighborQueries) {
   GridIndex gi(1.0);
-  gi.insert({0.0, 0.0});
-  gi.insert({0.8, 0.0});
-  gi.insert({0.0, 0.9});
-  gi.insert({3.0, 3.0});
+  EdgeDelta d;
+  gi.insert({0.0, 0.0}, d);
+  gi.insert({0.8, 0.0}, d);
+  gi.insert({0.0, 0.9}, d);
+  gi.insert({3.0, 3.0}, d);
   std::vector<NodeId> out;
   gi.alive_neighbors(0, out);
   EXPECT_EQ(out, (std::vector<NodeId>{1, 2}));
   gi.alive_in_range({0.1, 0.1}, /*exclude=*/gi.size(), out);
   EXPECT_EQ(out, (std::vector<NodeId>{0, 1, 2}));
-  gi.erase(1);
+  gi.erase(1, d);
   gi.alive_neighbors(0, out);
   EXPECT_EQ(out, (std::vector<NodeId>{2}));
 }
