@@ -38,15 +38,12 @@
 /// node the reference picks: maximum score, ties to the smallest id. The
 /// differential test suite pins trace-for-trace equality.
 ///
-/// The engine reads adjacency through the CSR view graph::FrozenGraph
-/// and is a template over its *selection policy*, which owns the
-/// scoring function (how a merge count ranks against other candidates —
-/// unit gain, or gain per unit of node weight) and the feasibility
-/// predicate (when the phase is done). UnitGainPolicy reproduces the
-/// paper's plain-CDS selection bit for bit; NodeWeightedGainPolicy ranks
-/// by gain/weight for the node-weighted (1,m)-CDS family (kmcds.hpp).
-/// ConnectorEngine is the unit-gain instantiation every plain-CDS
-/// production caller uses.
+/// The engine reads adjacency through the CSR view graph::FrozenGraph.
+/// A candidate's score is its gain, divided by its node weight when the
+/// caller passes weights. Unit gains are the paper's plain-CDS selection
+/// bit for bit. Gain per unit of weight serves the node-weighted
+/// (1,m)-CDS builder (kmcds.hpp); a fixed positive weight per node keeps
+/// both facts above true.
 ///
 /// Callers: greedy_connectors and the (k,m) builders drain select_next(),
 /// which relies on Lemma 9 (a BFS-ordered phase-1 MIS never stalls).
@@ -69,60 +66,28 @@
 /// pay), one O(n + m) pass at it, then at each later stall O(Σ deg²)
 /// over the nodes admitted since the one before, plus one heap
 /// operation per entry pushed or popped.
-///
-/// Policy requirements (duck-typed; both shipped policies model it):
-///   using Score = <totally ordered, equality-comparable value type>;
-///   Score score(NodeId w, std::size_t distinct) const;
-///       priority of adding w given it currently touches `distinct`
-///       member components (only called with distinct >= 2). Must be
-///       non-increasing in member-set growth for a fixed w — i.e.
-///       monotone in `distinct` — or the lazy queue loses exactness.
-///   bool done(std::size_t q) const;
-///       feasibility target: true once q components are acceptable.
 
 namespace mcds::core {
 
-/// The paper's plain-CDS policy: score = gain = distinct − 1, run until
-/// one component remains. Selection order is bit-identical to the
-/// pre-policy engine (same Score type, same comparisons).
-struct UnitGainPolicy {
-  using Score = std::uint32_t;
-  [[nodiscard]] Score score(NodeId /*w*/, std::size_t distinct) const noexcept {
-    return static_cast<Score>(distinct - 1);
-  }
-  [[nodiscard]] bool done(std::size_t q) const noexcept { return q <= 1; }
-};
-
-/// Node-weighted selection for the weighted (k,m)-CDS family: score =
-/// gain / weight(w), so a cheap node that merges two components beats an
-/// expensive one that merges three when the price ratio says so. Weights
-/// must be positive; ties (equal ratios) still resolve to the smallest
-/// node id via the engine's ordering.
-struct NodeWeightedGainPolicy {
-  std::span<const double> weight;  ///< weight[v] > 0, one per node
-  using Score = double;
-  [[nodiscard]] Score score(NodeId w, std::size_t distinct) const {
-    return static_cast<double>(distinct - 1) / weight[w];
-  }
-  [[nodiscard]] bool done(std::size_t q) const noexcept { return q <= 1; }
-};
-
 /// Incremental max-score connector selection over a growing member set.
-/// \tparam Policy the scoring/feasibility policy (see file comment).
-template <class Policy = UnitGainPolicy>
-class BasicConnectorEngine {
+class ConnectorEngine {
  public:
   /// Seeds the engine with \p members (phase-1 dominators; any duplicate
   /// or out-of-range node throws std::invalid_argument). Member-member
   /// edges are united immediately, so the seed need not be independent.
   /// \p obs (null sinks by default) counts union-find finds/merges and
   /// lazy-queue pops/stale re-scores under "connector_engine.*".
-  BasicConnectorEngine(graph::FrozenGraph g, std::span<const NodeId> members,
-                       Policy policy = {}, const obs::Obs& obs = {})
+  /// \p weight, when not empty, holds one positive weight per node and
+  /// ranks candidates by gain per unit of weight; empty means unit gains.
+  /// The engine holds a view of \p g and a span of \p weight, so both
+  /// must outlive it; a temporary graph does not compile.
+  ConnectorEngine(const Graph& g, std::span<const NodeId> members,
+                  const obs::Obs& obs = {}, std::span<const double> weight = {})
       : g_(g),
-        policy_(std::move(policy)),
+        rank_{weight},
         uf_(g.num_nodes()),
         member_(g.num_nodes(), false),
+        heap_(rank_),
         mark_(g.num_nodes(), 0),
         c_uf_finds_(obs.counter("connector_engine.uf_finds")),
         c_uf_merges_(obs.counter("connector_engine.uf_merges")),
@@ -141,7 +106,7 @@ class BasicConnectorEngine {
       }
       admit(u);
     }
-    if (policy_.done(q_)) return;
+    if (done()) return;
     // Seed the lazy queue: per Lemma 9 a positive-gain node always exists
     // while q > 1, and any node that becomes positive later is a neighbor
     // of an added connector, which select_next() refreshes.
@@ -150,18 +115,21 @@ class BasicConnectorEngine {
     }
   }
 
+  ConnectorEngine(Graph&& g, std::span<const NodeId> members,
+                  const obs::Obs& obs = {},
+                  std::span<const double> weight = {}) = delete;
+
   /// Number of connected components of G[members] right now.
   [[nodiscard]] std::size_t components() const noexcept { return q_; }
 
-  /// True once the policy's feasibility target holds (plain CDS: one
-  /// component remains — phase 2 is finished).
-  [[nodiscard]] bool done() const noexcept { return policy_.done(q_); }
+  /// True once one component remains: phase 2 is finished.
+  [[nodiscard]] bool done() const noexcept { return q_ <= 1; }
 
   /// Selects the maximum-score connector (ties toward the smaller node
   /// id), adds it to the member set and merges the components it touches.
   /// Throws std::logic_error if no positive-gain node exists although
-  /// the feasibility target is unmet (the seed was not a maximal
-  /// independent set of a connected graph — cf. Lemma 9).
+  /// q > 1 (the seed was not a maximal independent set of a connected
+  /// graph — cf. Lemma 9).
   GreedyStep select_next() {
     if (auto step = poll()) return *step;
     throw std::logic_error(
@@ -185,14 +153,13 @@ class BasicConnectorEngine {
         if (c_retired_) c_retired_->add();
         continue;  // gain collapsed to zero: retire the node
       }
-      const auto score = policy_.score(top.node, distinct);
-      if (score != top.score) {
-        heap_.push({score, top.node});  // stale: re-score and keep popping
+      const Entry now{static_cast<std::uint32_t>(distinct - 1), top.node};
+      if (rank_.score(now) != rank_.score(top)) {
+        heap_.push(now);  // stale: re-score and keep popping
         if (c_stale_) c_stale_->add();
         continue;
       }
-      const auto gain = static_cast<std::uint32_t>(distinct - 1);
-      const GreedyStep step{top.node, q_, gain};
+      const GreedyStep step{top.node, q_, now.gain};
       admit(top.node);  // `distinct` components and the node merge into one
       refresh_neighbors(top.node);
       return step;
@@ -219,7 +186,7 @@ class BasicConnectorEngine {
   /// non-member neighbors of those nodes, then pops until an entry
   /// validates. Nothing is allocated before the first stall.
   std::optional<std::array<NodeId, 2>> bridge_gap() {
-    if (policy_.done(q_)) return std::nullopt;
+    if (done()) return std::nullopt;
     if (!heap_.empty()) {
       throw std::logic_error("ConnectorEngine: bridge_gap before a stall");
     }
@@ -245,12 +212,31 @@ class BasicConnectorEngine {
   }
 
  private:
+  /// A queued candidate and its gain when pushed.
   struct Entry {
-    typename Policy::Score score;
+    std::uint32_t gain;
     NodeId node;
-    friend bool operator<(const Entry& a, const Entry& b) noexcept {
-      if (a.score != b.score) return a.score < b.score;  // max-score first
-      return a.node > b.node;                            // then smallest id
+  };
+
+  /// The heap order: the higher score first, then the smaller id. A
+  /// score is the gain, divided by the node's weight when weights are
+  /// given. Unit scores compare as the integer gains, which order and tie
+  /// as their doubles would: 8-byte entries and integer comparisons keep
+  /// the unit path as fast as an integer-only engine.
+  struct Ranking {
+    std::span<const double> weight;  ///< empty: unit gains
+
+    [[nodiscard]] double score(const Entry& e) const {
+      const auto gain = static_cast<double>(e.gain);
+      return weight.empty() ? gain : gain / weight[e.node];
+    }
+    [[nodiscard]] bool operator()(const Entry& a, const Entry& b) const {
+      if (weight.empty()) {
+        if (a.gain != b.gain) return a.gain < b.gain;
+      } else if (score(a) != score(b)) {
+        return score(a) < score(b);
+      }
+      return a.node > b.node;
     }
   };
 
@@ -297,7 +283,7 @@ class BasicConnectorEngine {
   void push_if_candidate(NodeId w) {
     const std::size_t distinct = distinct_adjacent(w);
     if (distinct >= 2) {
-      heap_.push({policy_.score(w, distinct), w});
+      heap_.push({static_cast<std::uint32_t>(distinct - 1), w});
     }
   }
 
@@ -352,10 +338,10 @@ class BasicConnectorEngine {
   }
 
   graph::FrozenGraph g_;
-  Policy policy_;
+  Ranking rank_;
   graph::UnionFind uf_;
   std::vector<bool> member_;
-  std::priority_queue<Entry> heap_;
+  std::priority_queue<Entry, std::vector<Entry>, Ranking> heap_;
   /// Stamps: per root for distinct counts, per node for re-key dedup.
   std::vector<std::uint64_t> mark_;
   std::uint64_t stamp_ = 0;
@@ -375,37 +361,6 @@ class BasicConnectorEngine {
   obs::Counter* c_pops_ = nullptr;
   obs::Counter* c_stale_ = nullptr;
   obs::Counter* c_retired_ = nullptr;
-};
-
-extern template class BasicConnectorEngine<UnitGainPolicy>;
-extern template class BasicConnectorEngine<NodeWeightedGainPolicy>;
-
-/// The production engine: the unit-gain instantiation, constructible
-/// straight from a Graph. It reads \p g through a view, so \p g must
-/// outlive the engine; a temporary graph does not compile.
-class ConnectorEngine : public BasicConnectorEngine<UnitGainPolicy> {
- public:
-  ConnectorEngine(const Graph& g, std::span<const NodeId> members,
-                  const obs::Obs& obs = {})
-      : BasicConnectorEngine(graph::FrozenGraph(g), members, UnitGainPolicy{},
-                             obs) {}
-  ConnectorEngine(Graph&& g, std::span<const NodeId> members,
-                  const obs::Obs& obs = {}) = delete;
-};
-
-/// The node-weighted engine used by kmcds_weighted's phase 2. \p g and
-/// \p weight must outlive the engine (it holds a view and a span).
-class WeightedConnectorEngine
-    : public BasicConnectorEngine<NodeWeightedGainPolicy> {
- public:
-  WeightedConnectorEngine(const Graph& g, std::span<const NodeId> members,
-                          std::span<const double> weight,
-                          const obs::Obs& obs = {})
-      : BasicConnectorEngine(graph::FrozenGraph(g), members,
-                             NodeWeightedGainPolicy{weight}, obs) {}
-  WeightedConnectorEngine(Graph&& g, std::span<const NodeId> members,
-                          std::span<const double> weight,
-                          const obs::Obs& obs = {}) = delete;
 };
 
 }  // namespace mcds::core

@@ -24,15 +24,29 @@ namespace {
 
 // ------------------------------------------------------------- phase 1
 
-/// The deficit greedy shared by the unit and weighted phase-1 variants.
-/// Starting from the seed flags (the BFS MIS), repeatedly adds the
-/// node maximizing score_of(u, deficit_reduction(u)) until no node
-/// outside the set is short of m dominators. Exact under a lazy queue:
-/// cover counts only grow, so every stored score is an upper bound.
-template <class Score, class ScoreFn>
-void deficit_greedy(const graph::FrozenGraph& fg, std::uint32_t m,
-                    std::vector<std::uint8_t>& in_d, ScoreFn score_of,
-                    const obs::Obs& obs) {
+std::vector<NodeId> flags_to_sorted(const std::vector<std::uint8_t>& in) {
+  std::vector<NodeId> out;
+  for (NodeId v = 0; v < in.size(); ++v) {
+    if (in[v]) out.push_back(v);
+  }
+  return out;
+}
+
+/// Phase 1 behind the unit and weighted entry points: seeds with the
+/// BFS first-fit MIS, then repeatedly adds the node with the largest
+/// deficit reduction — per unit of its weight when \p weight is not
+/// empty — until no node outside the set is short of m dominators.
+/// Exact under a lazy queue: cover counts only grow, so every stored
+/// score is an upper bound.
+std::vector<NodeId> deficit_greedy(const Graph& g, std::uint32_t m,
+                                   std::span<const double> weight,
+                                   NodeId root, const obs::Obs& obs) {
+  obs::ScopedTimer timer(obs, "kmcds.phase1_mfold");
+  const MisResult mis = bfs_first_fit_mis(g, root);
+  std::vector<std::uint8_t> in_d(g.num_nodes(), 0);
+  for (const NodeId v : mis.mis) in_d[v] = 1;
+
+  const graph::FrozenGraph fg(g);
   const std::size_t n = fg.num_nodes();
   std::vector<std::uint32_t> cover(n, 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -56,19 +70,33 @@ void deficit_greedy(const graph::FrozenGraph& fg, std::uint32_t m,
     return r;
   };
 
+  // A queued candidate and its reduction when pushed. The heap puts the
+  // higher score first, then the smaller id; a score is the reduction,
+  // per unit of the node's weight when weights are given. Unit scores
+  // compare as the integer reductions, which order and tie as their
+  // doubles would, so the unit heap compares integers only.
   struct Entry {
-    Score score;
+    std::size_t reduction;
     NodeId node;
-    bool operator<(const Entry& other) const noexcept {
-      if (score != other.score) return score < other.score;  // max-score first
-      return node > other.node;                              // then smallest id
-    }
   };
-  std::priority_queue<Entry> heap;
+  const auto score = [weight](const Entry& e) {
+    const auto r = static_cast<double>(e.reduction);
+    return weight.empty() ? r : r / weight[e.node];
+  };
+  const auto ranks_below = [weight, score](const Entry& a, const Entry& b) {
+    if (weight.empty()) {
+      if (a.reduction != b.reduction) return a.reduction < b.reduction;
+    } else if (score(a) != score(b)) {
+      return score(a) < score(b);
+    }
+    return a.node > b.node;
+  };
+  std::priority_queue<Entry, std::vector<Entry>, decltype(ranks_below)> heap(
+      ranks_below);
   for (NodeId u = 0; u < n; ++u) {
     if (in_d[u]) continue;
     const std::size_t r = reduction(u);
-    if (r > 0) heap.push({score_of(u, r), u});
+    if (r > 0) heap.push({r, u});
   }
 
   obs::Counter* c_added = obs.counter("kmcds.phase1_added");
@@ -81,11 +109,10 @@ void deficit_greedy(const graph::FrozenGraph& fg, std::uint32_t m,
     const Entry top = heap.top();
     heap.pop();
     if (in_d[top.node]) continue;
-    const std::size_t r = reduction(top.node);
-    if (r == 0) continue;  // deficit fully covered meanwhile: retire
-    const Score score = score_of(top.node, r);
-    if (score != top.score) {
-      heap.push({score, top.node});  // stale upper bound: re-rank
+    const Entry now{reduction(top.node), top.node};
+    if (now.reduction == 0) continue;  // covered meanwhile: retire
+    if (score(now) != score(top)) {
+      heap.push(now);  // stale upper bound: re-rank
       if (c_stale) c_stale->add();
       continue;
     }
@@ -97,14 +124,7 @@ void deficit_greedy(const graph::FrozenGraph& fg, std::uint32_t m,
       ++cover[v];
     }
   }
-}
-
-std::vector<NodeId> flags_to_sorted(const std::vector<std::uint8_t>& in) {
-  std::vector<NodeId> out;
-  for (NodeId v = 0; v < in.size(); ++v) {
-    if (in[v]) out.push_back(v);
-  }
-  return out;
+  return flags_to_sorted(in_d);
 }
 
 // ------------------------------------------------------------ phase 2b
@@ -191,20 +211,39 @@ std::vector<NodeId> biconnect_augment(const Graph& g,
   }
 }
 
+/// Phases 2a (connect) and 2b (k = 2 biconnect) over the phase-1 set in
+/// result.dominators, shared by the unit and weighted pipelines: the
+/// engine ranks connectors per unit of \p weight when it is not empty.
+/// result.weight sums the backbone's weights, or counts its nodes.
+void finish_kmcds(const Graph& g, std::span<const double> weight,
+                  KmCdsResult& result, const obs::Obs& obs) {
+  ConnectorEngine engine(g, result.dominators, obs, weight);
+  {
+    obs::ScopedTimer timer(obs, "kmcds.phase2_connect");
+    while (!engine.done()) {
+      result.connectors.push_back(engine.select_next().node);
+    }
+  }
+  std::vector<std::uint8_t> in_b(g.num_nodes(), 0);
+  for (const NodeId v : result.dominators) in_b[v] = 1;
+  for (const NodeId v : result.connectors) in_b[v] = 1;
+  if (result.params.k == 2) {
+    result.augmenters = biconnect_augment(g, in_b, obs);
+  }
+  result.backbone = flags_to_sorted(in_b);
+  if (weight.empty()) {
+    result.weight = static_cast<double>(result.backbone.size());
+  } else {
+    for (const NodeId v : result.backbone) result.weight += weight[v];
+  }
+}
+
 }  // namespace
 
 std::vector<NodeId> m_fold_dominators(const Graph& g, std::uint32_t m,
                                       NodeId root, const obs::Obs& obs) {
   KmParams{1, m}.validate();
-  obs::ScopedTimer timer(obs, "kmcds.phase1_mfold");
-  const MisResult mis = bfs_first_fit_mis(g, root);
-  std::vector<std::uint8_t> in_d(g.num_nodes(), 0);
-  for (const NodeId v : mis.mis) in_d[v] = 1;
-  deficit_greedy<std::uint64_t>(
-      graph::FrozenGraph(g), m, in_d,
-      [](NodeId, std::size_t r) { return static_cast<std::uint64_t>(r); },
-      obs);
-  return flags_to_sorted(in_d);
+  return deficit_greedy(g, m, {}, root, obs);
 }
 
 std::vector<NodeId> m_fold_dominators_weighted(const Graph& g, std::uint32_t m,
@@ -221,43 +260,8 @@ std::vector<NodeId> m_fold_dominators_weighted(const Graph& g, std::uint32_t m,
           "m_fold_dominators_weighted: weights must be positive");
     }
   }
-  obs::ScopedTimer timer(obs, "kmcds.phase1_mfold");
-  const MisResult mis = bfs_first_fit_mis(g, root);
-  std::vector<std::uint8_t> in_d(g.num_nodes(), 0);
-  for (const NodeId v : mis.mis) in_d[v] = 1;
-  deficit_greedy<double>(
-      graph::FrozenGraph(g), m, in_d,
-      [weight](NodeId u, std::size_t r) {
-        return static_cast<double>(r) / weight[u];
-      },
-      obs);
-  return flags_to_sorted(in_d);
+  return deficit_greedy(g, m, weight, root, obs);
 }
-
-namespace {
-
-/// Phases 2a (connect) and 2b (k=2 biconnect) over a phase-1 set, shared
-/// by the unit and weighted pipelines. \p engine must already be seeded
-/// with result.dominators.
-template <class Engine>
-void finish_kmcds(const Graph& g, Engine& engine, KmCdsResult& result,
-                  const obs::Obs& obs) {
-  {
-    obs::ScopedTimer timer(obs, "kmcds.phase2_connect");
-    while (!engine.done()) {
-      result.connectors.push_back(engine.select_next().node);
-    }
-  }
-  std::vector<std::uint8_t> in_b(g.num_nodes(), 0);
-  for (const NodeId v : result.dominators) in_b[v] = 1;
-  for (const NodeId v : result.connectors) in_b[v] = 1;
-  if (result.params.k == 2) {
-    result.augmenters = biconnect_augment(g, in_b, obs);
-  }
-  result.backbone = flags_to_sorted(in_b);
-}
-
-}  // namespace
 
 KmCdsResult kmcds(const Graph& g, KmParams params, NodeId root,
                   const obs::Obs& obs) {
@@ -265,9 +269,7 @@ KmCdsResult kmcds(const Graph& g, KmParams params, NodeId root,
   KmCdsResult result;
   result.params = params;
   result.dominators = m_fold_dominators(g, params.m, root, obs);
-  ConnectorEngine engine(g, result.dominators, obs);
-  finish_kmcds(g, engine, result, obs);
-  result.weight = static_cast<double>(result.backbone.size());
+  finish_kmcds(g, {}, result, obs);
   return result;
 }
 
@@ -277,9 +279,7 @@ KmCdsResult kmcds_weighted(const Graph& g, std::uint32_t m,
   KmCdsResult result;
   result.params = {1, m};
   result.dominators = m_fold_dominators_weighted(g, m, weight, root, obs);
-  WeightedConnectorEngine engine(g, result.dominators, weight, obs);
-  finish_kmcds(g, engine, result, obs);
-  for (const NodeId v : result.backbone) result.weight += weight[v];
+  finish_kmcds(g, weight, result, obs);
   return result;
 }
 

@@ -25,7 +25,7 @@
 ///    adds the node reducing the total coverage deficit the most,
 ///    maintained with incremental cover counts and a lazy max-gain
 ///    queue — exact because deficits only shrink as the set grows.
-///  * Phase 2 k=1 runs the pluggable-policy connector engine
+///  * Phase 2 k=1 runs the paper's connector engine
 ///    (connector_engine.hpp) over the phase-1 set.
 ///  * Phase 2 k=2 then eliminates articulation points of the induced
 ///    backbone: while some member v splits G[D] into two fragments that
@@ -36,9 +36,10 @@
 ///    what check_kmcds excuses.
 ///
 /// The weighted variant kmcds_weighted ranks phase-1 candidates by
-/// deficit-reduction per unit weight and runs phase 2 on the
-/// NodeWeightedGainPolicy engine — the node-weighted (1,m)-CDS of the
-/// minimum-weight m-fold literature (arXiv:1510.05886).
+/// deficit-reduction per unit weight and phase-2 candidates by gain per
+/// unit weight, on the same two code paths as the unit builders — the
+/// node-weighted (1,m)-CDS of the minimum-weight m-fold literature
+/// (arXiv:1510.05886).
 ///
 /// kmcds.cpp holds the builders only. check_kmcds and
 /// check_kmcds_components, declared here, are defined in validate.cpp
@@ -94,8 +95,8 @@ struct KmCdsResult {
 [[nodiscard]] KmCdsResult kmcds(const Graph& g, KmParams params,
                                 NodeId root = 0, const obs::Obs& obs = {});
 
-/// The node-weighted (1,m) variant: weighted phase 1 plus the
-/// NodeWeightedGainPolicy phase 2. \p weight must have one positive
+/// The node-weighted (1,m) variant: weighted phase 1 plus a phase 2
+/// ranked by gain per unit weight. \p weight must have one positive
 /// entry per node; result.weight sums the backbone's weights.
 [[nodiscard]] KmCdsResult kmcds_weighted(const Graph& g, std::uint32_t m,
                                          std::span<const double> weight,

@@ -22,18 +22,6 @@ std::string prom_name(const std::string& name) {
   return out;
 }
 
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-}
-
 }  // namespace
 
 void export_prometheus(const MetricsRegistry& reg, std::ostream& os) {
@@ -83,7 +71,7 @@ void SnapshotSink::snapshot(const MetricsRegistry& reg) {
     if (!first) os_ << ",";
     first = false;
     os_ << "\"";
-    write_escaped(os_, name);
+    detail::write_escaped(os_, name);
     os_ << "\":" << c.value();
   }
   os_ << "},\"gauges\":{";
@@ -92,7 +80,7 @@ void SnapshotSink::snapshot(const MetricsRegistry& reg) {
     if (!first) os_ << ",";
     first = false;
     os_ << "\"";
-    write_escaped(os_, name);
+    detail::write_escaped(os_, name);
     os_ << "\":" << g.value();
   }
   os_ << "},\"histograms\":{";
@@ -102,7 +90,7 @@ void SnapshotSink::snapshot(const MetricsRegistry& reg) {
     first = false;
     const sim::Accumulator& a = h.acc();
     os_ << "\"";
-    write_escaped(os_, name);
+    detail::write_escaped(os_, name);
     os_ << "\":{\"count\":" << a.count() << ",\"mean\":" << a.mean()
         << ",\"p50\":" << a.p50() << ",\"p95\":" << a.p95()
         << ",\"p99\":" << a.p99() << "}";

@@ -23,9 +23,9 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return histograms_.emplace(std::string(name), Histogram{}).first->second;
 }
 
-namespace {
+namespace detail {
 
-void write_escaped(std::ostream& os, const std::string& s) {
+void write_escaped(std::ostream& os, std::string_view s) {
   for (const char c : s) {
     if (c == '"' || c == '\\') {
       os << '\\' << c;
@@ -37,7 +37,7 @@ void write_escaped(std::ostream& os, const std::string& s) {
   }
 }
 
-}  // namespace
+}  // namespace detail
 
 void MetricsRegistry::write_json(std::ostream& os) const {
   os << "{\n  \"counters\": {";
@@ -46,7 +46,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "\n    \"";
-    write_escaped(os, name);
+    detail::write_escaped(os, name);
     os << "\": " << c.value();
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
@@ -55,7 +55,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "\n    \"";
-    write_escaped(os, name);
+    detail::write_escaped(os, name);
     os << "\": " << g.value();
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -65,7 +65,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     first = false;
     const sim::Accumulator& a = h.acc();
     os << "\n    \"";
-    write_escaped(os, name);
+    detail::write_escaped(os, name);
     os << "\": {\"count\": " << a.count() << ", \"mean\": " << a.mean()
        << ", \"stdev\": " << a.stdev() << ", \"min\": " << a.min()
        << ", \"max\": " << a.max() << ", \"p50\": " << a.p50()

@@ -97,4 +97,14 @@ class MetricsRegistry {
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
+namespace detail {
+
+/// Writes \p s as the body of a JSON string: quote and backslash are
+/// escaped, control characters become spaces. Names are library-chosen
+/// identifiers, but a hostile one can never corrupt the output. Shared
+/// by the registry JSON, the trace exports and the JSONL snapshots.
+void write_escaped(std::ostream& os, std::string_view s);
+
+}  // namespace detail
+
 }  // namespace mcds::obs

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "obs/metrics.hpp"
+
 namespace mcds::obs {
 
 TraceRecorder::TraceRecorder(std::size_t capacity, ClockMode clock)
@@ -70,20 +72,6 @@ std::vector<TraceRecord> TraceRecorder::snapshot() const {
 
 namespace {
 
-// Names are library-chosen identifiers, but escape the JSON specials so
-// a hostile name can never corrupt the output.
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-}
-
 const char* kind_tag(RecordKind k) {
   switch (k) {
     case RecordKind::kSpanBegin:
@@ -103,7 +91,7 @@ const char* kind_tag(RecordKind k) {
 void write_jsonl(const TraceRecorder& tr, std::ostream& os) {
   for (const TraceRecord& r : tr.snapshot()) {
     os << "{\"ph\":\"" << kind_tag(r.kind) << "\",\"name\":\"";
-    write_escaped(os, tr.name(r.name));
+    detail::write_escaped(os, tr.name(r.name));
     os << "\",\"ts\":" << r.ts << ",\"tid\":" << r.tid;
     if (r.kind == RecordKind::kCounter || r.kind == RecordKind::kInstant) {
       os << ",\"value\":" << r.value;
@@ -124,14 +112,14 @@ void write_chrome_trace(const TraceRecorder& tr, std::ostream& os) {
   for (const auto& [tid, label] : tr.track_names()) {
     os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
        << tid << ",\"args\":{\"name\":\"";
-    write_escaped(os, label);
+    detail::write_escaped(os, label);
     os << "\"}}";
   }
   for (const TraceRecord& r : tr.snapshot()) {
     if (!first) os << ",";
     first = false;
     os << "\n{\"name\":\"";
-    write_escaped(os, tr.name(r.name));
+    detail::write_escaped(os, tr.name(r.name));
     os << "\",\"ph\":\"" << kind_tag(r.kind) << "\",\"pid\":0,\"tid\":"
        << r.tid << ",\"ts\":" << r.ts;
     if (r.kind == RecordKind::kInstant) {

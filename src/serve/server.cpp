@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "core/kmcds.hpp"
@@ -8,6 +9,10 @@
 namespace mcds::serve {
 
 namespace {
+/// Real-time period of the batcher's idle wait, the watchdog's deadline
+/// scan, the checkpointer's clock check and drain()'s retire loop.
+constexpr auto kPoll = std::chrono::milliseconds(1);
+
 constexpr double seconds_between(TimePoint a, TimePoint b) {
   return std::chrono::duration<double>(b - a).count();
 }
@@ -85,20 +90,22 @@ Ticket Server::submit(Request req) {
   auto state = std::make_shared<SharedState>();
   Ticket ticket(state);
   const TimePoint at = now();
+
+  // Admission decision ladder: structural validity first, then accept
+  // state, then overload shedding, then the bounded queue. An invalid
+  // request is completed before it is registered: its deadline may have
+  // passed already, and the watchdog must not answer it kTimeout.
+  const bool empty_solve = !req.is_churn() &&
+                           req.instance.graph.num_nodes() == 0;
+  const bool invalid =
+      empty_solve || (req.is_churn() && !engine_) || req.deadline <= at;
+  if (invalid) finish_now(state, id, Status::kInvalid, tier);
   {
     std::lock_guard<std::mutex> lk(reg_mu_);
     ++stats_.submitted;
     registry_.push_back({state, req.deadline, id, tier});
   }
-
-  // Admission decision ladder: structural validity first, then accept
-  // state, then overload shedding, then the bounded queue.
-  const bool empty_solve = !req.is_churn() &&
-                           req.instance.graph.num_nodes() == 0;
-  if (empty_solve || (req.is_churn() && !engine_) || req.deadline <= at) {
-    finish_now(state, id, Status::kInvalid, tier);
-    return ticket;
-  }
+  if (invalid) return ticket;
   if (!accepting_.load(std::memory_order_relaxed)) {
     finish_now(state, id, Status::kRejected, tier);
     return ticket;
@@ -129,7 +136,7 @@ void Server::batcher_loop() {
   while (true) {
     {
       std::unique_lock<std::mutex> lk(wake_mu_);
-      wake_cv_.wait_for(lk, params_.poll, [&] {
+      wake_cv_.wait_for(lk, kPoll, [&] {
         return !running_.load(std::memory_order_relaxed) ||
                queue_.depth() > 0;
       });
@@ -298,7 +305,7 @@ void Server::run_batch(std::vector<QueueItem> batch) {
 
 void Server::watchdog_loop() {
   while (running_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(params_.poll);
+    std::this_thread::sleep_for(kPoll);
     const TimePoint t = now();
     std::lock_guard<std::mutex> lk(reg_mu_);
     for (Tracked& e : registry_) {
@@ -318,7 +325,7 @@ void Server::watchdog_loop() {
 void Server::checkpoint_loop() {
   auto last = std::chrono::steady_clock::now();
   while (running_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(params_.poll);
+    std::this_thread::sleep_for(kPoll);
     const auto t = std::chrono::steady_clock::now();
     if (t - last < params_.checkpoint_every) continue;
     last = t;
@@ -418,7 +425,7 @@ void Server::drain() {
       retire_done_locked();
       if (queue_.depth() == 0 && registry_.empty()) break;
     }
-    std::this_thread::sleep_for(params_.poll);
+    std::this_thread::sleep_for(kPoll);
   }
   shutdown();
 }

@@ -53,8 +53,6 @@ struct ServerParams {
   std::size_t queue_capacity = 64;
   std::size_t max_batch = 8;
   std::size_t threads = 0;  ///< solver pool size (0 = auto)
-  /// Batcher poll / watchdog scan period (real time).
-  Duration poll = std::chrono::milliseconds(1);
   OverloadParams overload;
   /// Virtualized time source for deadline logic; null = steady_clock.
   Clock clock;

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/greedy_connect.hpp"
@@ -8,6 +13,7 @@
 #include "core/mis.hpp"
 #include "exact/brute_force.hpp"
 #include "graph/small_graph.hpp"
+#include "sim/rng.hpp"
 #include "test_util.hpp"
 #include "udg/instance.hpp"
 
@@ -44,6 +50,44 @@ std::size_t coverage_of(const Graph& g, const std::vector<NodeId>& set,
 }
 
 const std::vector<KmParams> kVariants = {{1, 1}, {1, 2}, {2, 1}, {2, 2}};
+
+// One kmcds_weighted result: its input, digests of the dominators, the
+// connectors in pick order and the backbone, and the backbone weight.
+struct WeightedRow {
+  std::uint64_t seed;
+  std::string_view weights;
+  std::uint32_t m;
+  std::uint64_t dominators;
+  std::uint64_t connectors;
+  std::size_t backbone_size;
+  std::uint64_t backbone;
+  double weight;
+
+  bool operator==(const WeightedRow&) const = default;
+};
+
+std::string format(const WeightedRow& r) {
+  std::ostringstream os;
+  os << "{" << r.seed << ", \"" << r.weights << "\", " << r.m << ", 0x"
+     << std::hex << r.dominators << ", 0x" << r.connectors << ", "
+     << std::dec << r.backbone_size << ", 0x" << std::hex << r.backbone
+     << ", " << std::hexfloat << r.weight << "},";
+  return os.str();
+}
+
+// FNV-1a (64-bit) over the list's length, then each id, byte by byte.
+std::uint64_t digest(const std::vector<NodeId>& ids) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&h](std::uint64_t value, std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      h ^= (value >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  add(ids.size(), sizeof(std::size_t));
+  for (const NodeId v : ids) add(v, sizeof(NodeId));
+  return h;
+}
 
 }  // namespace
 
@@ -150,6 +194,90 @@ TEST(KmCds, WeightedValidatesAndSumsWeights) {
   zero_weight[0] = 0.0;
   EXPECT_THROW((void)kmcds_weighted(g, 2, zero_weight),
                std::invalid_argument);
+}
+
+// Golden outputs of the node-weighted pipeline under non-uniform
+// weights, where gain per unit of weight ranks candidates differently
+// from the plain gain: three seeded fields, two weight schemes, m = 1, 2
+// and 3. Each row pins the phase-1 dominators, the phase-2 connectors in
+// pick order, the backbone and its summed weight, recorded from a
+// known-good build. A change that moves one of these constants changed
+// which backbone kmcds_weighted returns and must say so.
+TEST(KmCds, WeightedGolden) {
+  struct Field {
+    std::uint64_t seed;
+    std::size_t nodes;
+    double side;
+  };
+  const Field fields[] = {{3, 120, 12.0}, {5, 200, 15.0}, {8, 300, 19.0}};
+  const std::vector<WeightedRow> want = {
+      {3, "mod7", 1, 0xdd91fa524622fa1c, 0xa13e42de30760f5a,
+       39, 0xa11be822f7af6e03, 0x1.d6p+5},
+      {3, "mod7", 2, 0x19d107e48ee748df, 0xb89a3d2438fdf33b,
+       46, 0xaa0f43a74f7f6e33, 0x1.18p+6},
+      {3, "mod7", 3, 0x2be0d0d77b6cb930, 0xf051bf53ef60d172,
+       56, 0x9a375e9925703d5f, 0x1.55p+6},
+      {3, "drawn", 1, 0xdd91fa524622fa1c, 0x2662425fe60d635d,
+       42, 0x8281c8b6a417bb54, 0x1.3aa2947982ac8p+6},
+      {3, "drawn", 2, 0x3aabf5934db2313b, 0x6341b5ad8e44e404,
+       50, 0x6ffe7c06adccb4b4, 0x1.7af546e5eb391p+6},
+      {3, "drawn", 3, 0xd06a020aa3306adc, 0x68741b4a3c8bf46c,
+       59, 0x975de4e0f8e5cd4d, 0x1.ce2d2bd914075p+6},
+      {5, "mod7", 1, 0xba3d92026809d54, 0x58710d16c3525698,
+       64, 0x4dda7f44212047e7, 0x1.99p+6},
+      {5, "mod7", 2, 0x6157ed3638594a3, 0xc7fc79be3fc5b710,
+       73, 0x2322b835a985763e, 0x1.c3p+6},
+      {5, "mod7", 3, 0x5ae0d6ff0ed8b870, 0x2359881b74678de4,
+       83, 0xe5d55f23435e1531, 0x1.f6p+6},
+      {5, "drawn", 1, 0xba3d92026809d54, 0xc164e4b583f51645,
+       65, 0x7231c4a90a1a6578, 0x1.e0b0b0ac44d68p+6},
+      {5, "drawn", 2, 0xdd64bc9a20d51c9a, 0x1c8cb7d8c20097a6,
+       76, 0xb3f2f38603d4edb7, 0x1.0946b61c4f481p+7},
+      {5, "drawn", 3, 0xd9a5ed2660edf03e, 0x590b68eca83a7d47,
+       88, 0x1a54130085e540ac, 0x1.2a50cf7521a81p+7},
+      {8, "mod7", 1, 0x16366688a5248b45, 0x979f4213157036ab,
+       107, 0xf6c726fc4519221f, 0x1.4f8p+7},
+      {8, "mod7", 2, 0x39b57c9e84d0fe8e, 0x5016866cc775c96,
+       117, 0xbde82f7201d3526d, 0x1.68p+7},
+      {8, "mod7", 3, 0x8bc47a6fc1142bd6, 0x4e64425f596b0b1f,
+       141, 0x6787bb2af218a430, 0x1.b28p+7},
+      {8, "drawn", 1, 0x16366688a5248b45, 0x35f4e04878902273,
+       108, 0xd4de25f0463966c9, 0x1.a5c71a0caac13p+7},
+      {8, "drawn", 2, 0x90a5f39ebbac82b5, 0x3ca5d959e82d59ff,
+       119, 0xf175944a7816064f, 0x1.caa07b79d95b8p+7},
+      {8, "drawn", 3, 0x47fda7062e3cac24, 0x11702f1d16e5ded1,
+       141, 0x1c0feeb05b58bf2c, 0x1.0cf3e21dff9d1p+8},
+  };
+  std::vector<WeightedRow> got;
+  std::size_t differs_from_unit = 0;
+  for (const Field& f : fields) {
+    const Graph g = corpus_udg(f.seed, f.nodes, f.side);
+    std::vector<double> mod7(g.num_nodes());
+    std::vector<double> drawn(g.num_nodes());
+    mcds::sim::Rng rng(f.seed);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      mod7[v] = 1.0 + 0.25 * static_cast<double>(v % 7);
+      drawn[v] = rng.uniform(0.5, 4.0);
+    }
+    for (const auto& [scheme, weight] :
+         {std::pair{"mod7", &mod7}, std::pair{"drawn", &drawn}}) {
+      for (const std::uint32_t m : {1u, 2u, 3u}) {
+        const KmCdsResult r = kmcds_weighted(g, m, *weight);
+        EXPECT_TRUE(check_kmcds(g, r.backbone, {1, m}).ok)
+            << "seed " << f.seed << " " << scheme << " m " << m;
+        if (r.backbone != kmcds(g, {1, m}).backbone) ++differs_from_unit;
+        got.push_back({f.seed, scheme, m, digest(r.dominators),
+                       digest(r.connectors), r.backbone.size(),
+                       digest(r.backbone), r.weight});
+      }
+    }
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "observed:\n" << format(got[i]);
+  }
+  // The weights steer the order: every row leaves the unit backbone.
+  EXPECT_EQ(differs_from_unit, want.size());
 }
 
 TEST(KmCds, DisconnectedGraphThrows) {
