@@ -59,44 +59,33 @@ std::vector<NodeId> deficit_greedy(const Graph& g, std::uint32_t m,
     if (!in_d[v] && cover[v] < m) total_deficit += m - cover[v];
   }
 
-  // deficit_reduction(u) = u's own residual deficit (it stops needing
-  // coverage the moment it joins) plus one unit per still-deficient
-  // neighbor it would cover.
-  const auto reduction = [&](NodeId u) -> std::size_t {
+  // score(u) = deficit_reduction(u), per unit of u's weight when weights
+  // are given, where deficit_reduction(u) = u's own residual deficit (it
+  // stops needing coverage the moment it joins) plus one unit per
+  // still-deficient neighbor it would cover. A double holds every
+  // reduction exactly, so unit scores order and tie as integers would.
+  const auto score = [&](NodeId u) {
     std::size_t r = cover[u] < m ? m - cover[u] : 0;
     for (const NodeId v : fg.neighbors(u)) {
       if (!in_d[v] && cover[v] < m) ++r;
     }
-    return r;
+    const auto s = static_cast<double>(r);
+    return weight.empty() ? s : s / weight[u];
   };
 
-  // A queued candidate and its reduction when pushed. The heap puts the
-  // higher score first, then the smaller id; a score is the reduction,
-  // per unit of the node's weight when weights are given. Unit scores
-  // compare as the integer reductions, which order and tie as their
-  // doubles would, so the unit heap compares integers only.
   struct Entry {
-    std::size_t reduction;
+    double score;
     NodeId node;
-  };
-  const auto score = [weight](const Entry& e) {
-    const auto r = static_cast<double>(e.reduction);
-    return weight.empty() ? r : r / weight[e.node];
-  };
-  const auto ranks_below = [weight, score](const Entry& a, const Entry& b) {
-    if (weight.empty()) {
-      if (a.reduction != b.reduction) return a.reduction < b.reduction;
-    } else if (score(a) != score(b)) {
-      return score(a) < score(b);
+    bool operator<(const Entry& other) const noexcept {
+      if (score != other.score) return score < other.score;  // max-score first
+      return node > other.node;                              // then smallest id
     }
-    return a.node > b.node;
   };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(ranks_below)> heap(
-      ranks_below);
+  std::priority_queue<Entry> heap;
   for (NodeId u = 0; u < n; ++u) {
     if (in_d[u]) continue;
-    const std::size_t r = reduction(u);
-    if (r > 0) heap.push({r, u});
+    const double s = score(u);
+    if (s > 0) heap.push({s, u});
   }
 
   obs::Counter* c_added = obs.counter("kmcds.phase1_added");
@@ -109,10 +98,10 @@ std::vector<NodeId> deficit_greedy(const Graph& g, std::uint32_t m,
     const Entry top = heap.top();
     heap.pop();
     if (in_d[top.node]) continue;
-    const Entry now{reduction(top.node), top.node};
-    if (now.reduction == 0) continue;  // covered meanwhile: retire
-    if (score(now) != score(top)) {
-      heap.push(now);  // stale upper bound: re-rank
+    const double s = score(top.node);
+    if (s == 0) continue;  // deficit fully covered meanwhile: retire
+    if (s != top.score) {
+      heap.push({s, top.node});  // stale upper bound: re-rank
       if (c_stale) c_stale->add();
       continue;
     }
